@@ -27,16 +27,27 @@ error and soft-bound penalty terms.
 Window rows accept a realized-energy history so a receding horizon can keep
 billing windows continuous across horizon boundaries: windows reaching before
 step 0 draw constants from the history instead of silently truncating.
+
+A model is stored in one form, built once: the rows as a CSR matrix ``A``
+with row bounds ``row_lo <= A x <= row_hi``, row names and families, and the
+columns as read-only arrays ``c``, ``lb``, ``ub`` and an integrality mask.
+The solver, the residual report and the appending helpers
+(:func:`add_terminal_cost`, :func:`lock_charged_visits`) work on those
+arrays; ``MilpModel.variables`` and ``MilpModel.constraints`` are per-column
+and per-row views of them for LP export and inspection.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .charge_model import DiscreteChargeParams, discretize_params
 from .graph import ActionGraph
@@ -109,12 +120,32 @@ class ModelOptions:
     soft_min_weight: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MilpModel:
-    """An assembled model plus the index maps needed to read solutions back."""
+    """An assembled model in its stored form plus the index maps needed to
+    read solutions back.
 
-    variables: Tuple[Variable, ...]
-    constraints: Tuple[LinearConstraint, ...]
+    Columns are the arrays ``c``, ``lb``, ``ub`` and the integrality mask
+    ``integer``; ``columns`` holds each one's (name, role, bus, step,
+    charger type).  Rows are ``row_lo <= A x <= row_hi`` with ``A`` in CSR,
+    each row's entries in assembly order: an equality row has equal bounds,
+    a one-sided row an infinite other bound.  ``row_names`` and
+    ``row_family`` (an index into ``families``) label the rows.  Every array
+    is read-only; ``variables`` and ``constraints`` are views built on first
+    use.
+    """
+
+    c: np.ndarray
+    lb: np.ndarray
+    ub: np.ndarray
+    integer: np.ndarray
+    columns: Tuple[Tuple[str, str, Optional[str], Optional[int], Optional[str]], ...]
+    A: sp.csr_matrix
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    row_names: Tuple[str, ...]
+    row_family: np.ndarray
+    families: Tuple[str, ...]
     graph: ActionGraph
     options: ModelOptions
     x_of: Dict[int, int]
@@ -135,51 +166,126 @@ class MilpModel:
 
     @property
     def n_variables(self) -> int:
-        return len(self.variables)
+        return len(self.c)
 
     @property
     def n_constraints(self) -> int:
-        return len(self.constraints)
+        return self.A.shape[0]
+
+    @cached_property
+    def variables(self) -> Tuple[Variable, ...]:
+        return tuple(
+            Variable(name, lo, hi, is_int, obj, role, bus_id, k, tid)
+            for obj, lo, hi, is_int, (name, role, bus_id, k, tid) in zip(
+                self.c.tolist(), self.lb.tolist(), self.ub.tolist(),
+                self.integer.tolist(), self.columns,
+            )
+        )
+
+    @cached_property
+    def constraints(self) -> Tuple[LinearConstraint, ...]:
+        ptr, cols, vals = self.A.indptr, self.A.indices.tolist(), self.A.data.tolist()
+        out = []
+        for r, (lo, hi) in enumerate(zip(self.row_lo.tolist(), self.row_hi.tolist())):
+            sense = "==" if lo == hi else ("<=" if lo == -math.inf else ">=")
+            out.append(LinearConstraint(
+                name=self.row_names[r],
+                coeffs=tuple(zip(cols[ptr[r]:ptr[r + 1]], vals[ptr[r]:ptr[r + 1]])),
+                sense=sense,
+                rhs=hi if sense == "<=" else lo,
+                family=self.families[self.row_family[r]],
+            ))
+        return tuple(out)
 
     def objective_vector(self) -> np.ndarray:
-        return np.array([v.obj for v in self.variables])
+        return self.c
 
     def bound_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        lb = np.array([v.lb for v in self.variables])
-        ub = np.array([v.ub for v in self.variables])
-        return lb, ub
+        return self.lb, self.ub
+
+    @cached_property
+    def _integer_indices(self) -> np.ndarray:
+        return _frozen(np.flatnonzero(self.integer))
 
     def integer_indices(self) -> np.ndarray:
-        return np.array(
-            [i for i, v in enumerate(self.variables) if v.is_integer], dtype=int
-        )
+        return self._integer_indices
 
-    def extended(
-        self,
-        new_variables: Sequence[Variable] = (),
-        new_constraints: Sequence[LinearConstraint] = (),
-        **index_updates,
-    ) -> "MilpModel":
-        """Copy of the model with rows/columns appended (never mutated)."""
-        fields = dict(
-            variables=self.variables + tuple(new_variables),
-            constraints=self.constraints + tuple(new_constraints),
-            graph=self.graph,
-            options=self.options,
-            x_of=self.x_of,
-            s_of=self.s_of,
-            g_of=self.g_of,
-            e_of=self.e_of,
-            p_of=self.p_of,
-            peak_idx=self.peak_idx,
-            peak_tou_idx=self.peak_tou_idx,
-            err_of=self.err_of,
-            terminal_targets=self.terminal_targets,
-            window_m=self.window_m,
-            window_frac=self.window_frac,
+    def extended(self, appended: "_Assembly", **index_updates) -> "MilpModel":
+        """Copy of the model with ``appended``'s rows and columns added
+        after its own (never mutated)."""
+        return dataclasses.replace(self, **appended.arrays(self), **index_updates)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Assembly:
+    """Columns and rows to add to a model's stored form, in order."""
+
+    def __init__(self, base: Optional[MilpModel] = None):
+        self.first_col = base.n_variables if base is not None else 0
+        self.families: List[str] = list(base.families) if base is not None else []
+        self.cols: List[Tuple] = []  # (obj, lb, ub, is_integer, column tags)
+        self.rows: List[Tuple] = []  # (name, family index, lo, hi)
+        self.indptr: List[int] = [0]
+        self.indices: List[int] = []
+        self.data: List[float] = []
+
+    def col(self, name: str, lb: float, ub: float, obj: float, role: str,
+            is_integer: bool = False, bus_id: Optional[str] = None,
+            k: Optional[int] = None, tid: Optional[str] = None) -> int:
+        self.cols.append((obj, lb, ub, is_integer, (name, role, bus_id, k, tid)))
+        return self.first_col + len(self.cols) - 1
+
+    def row(self, name: str, family: str, coeffs: Iterable[Tuple[int, float]],
+            sense: str, rhs: float) -> None:
+        if family not in self.families:
+            self.families.append(family)
+        rhs = float(rhs)
+        lo = -math.inf if sense == "<=" else rhs
+        hi = math.inf if sense == ">=" else rhs
+        self.rows.append((name, self.families.index(family), lo, hi))
+        for i, coef in coeffs:
+            self.indices.append(i)
+            self.data.append(coef)
+        self.indptr.append(len(self.indices))
+
+    def arrays(self, base: Optional[MilpModel] = None) -> Dict:
+        """The stored-form fields of ``base`` (or of an empty model) with
+        this assembly appended."""
+        obj, lb, ub, integer, tags = zip(*self.cols) if self.cols else ((),) * 5
+        names, fam, lo, hi = zip(*self.rows) if self.rows else ((),) * 4
+        A0 = base.A if base is not None else sp.csr_matrix((0, 0))
+
+        def cat(old, new, dtype=float):
+            return np.concatenate([np.asarray(old, dtype), np.asarray(new, dtype)])
+
+        def grown(attr, new, dtype=float):
+            return _frozen(cat(getattr(base, attr) if base is not None else (), new, dtype))
+
+        A = sp.csr_matrix(
+            (cat(A0.data, self.data),
+             cat(A0.indices, self.indices, np.int64),
+             cat(A0.indptr[:-1], np.add(self.indptr, A0.nnz), np.int64)),
+            shape=(A0.shape[0] + len(self.rows), self.first_col + len(self.cols)),
         )
-        fields.update(index_updates)
-        return MilpModel(**fields)
+        for arr in (A.data, A.indices, A.indptr):
+            _frozen(arr)
+        return dict(
+            c=grown("c", obj),
+            lb=grown("lb", lb),
+            ub=grown("ub", ub),
+            integer=grown("integer", integer, bool),
+            columns=(base.columns if base is not None else ()) + tags,
+            A=A,
+            row_lo=grown("row_lo", lo),
+            row_hi=grown("row_hi", hi),
+            row_names=(base.row_names if base is not None else ()) + names,
+            row_family=grown("row_family", fam, np.int64),
+            families=tuple(self.families),
+        )
 
 
 def _lp_name(raw: str) -> str:
@@ -209,29 +315,14 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     rates = scenario.rates
     K = inst.n_steps
     delta_h = inst.delta_hours
-
-    variables: List[Variable] = []
-    constraints: List[LinearConstraint] = []
-
-    def add_var(v: Variable) -> int:
-        variables.append(v)
-        return len(variables) - 1
+    form = _Assembly()
 
     # --- flow variables, one per edge --------------------------------------
     x_of: Dict[int, int] = {}
     for gid, sub, e in graph.iter_edges():
-        x_of[gid] = add_var(
-            Variable(
-                name=f"x{gid}",
-                lb=0.0,
-                ub=float(e.capacity),
-                is_integer=True,
-                obj=float(graph.edge_costs[gid]),
-                role="flow",
-                bus_id=e.bus_id,
-                k=e.k_from,
-                charger_type_id=sub.charger_type_id,
-            )
+        x_of[gid] = form.col(
+            f"x{gid}", 0.0, float(e.capacity), float(graph.edge_costs[gid]), "flow",
+            is_integer=True, bus_id=e.bus_id, k=e.k_from, tid=sub.charger_type_id,
         )
 
     # --- charge levels -------------------------------------------------------
@@ -251,54 +342,27 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
                 vlb = vub = s0
             elif k == K and options.enforce_final_soc:
                 vlb = vub = bus.final_soc * cap
-            s_of[(bus.id, k)] = add_var(
-                Variable(
-                    name=f"s_{_lp_name(bus.id)}_{k}",
-                    lb=vlb,
-                    ub=vub,
-                    is_integer=False,
-                    obj=0.0,
-                    role="soc",
-                    bus_id=bus.id,
-                    k=k,
-                )
+            s_of[(bus.id, k)] = form.col(
+                f"s_{_lp_name(bus.id)}_{k}", vlb, vub, 0.0, "soc", bus_id=bus.id, k=k
             )
 
     # --- gains ----------------------------------------------------------------
     g_of: Dict[Tuple[str, int, str], int] = {}
     for (bus_id, k, tid) in sorted(graph.sigma.keys(), key=lambda t: (t[0], t[1], t[2])):
-        g_of[(bus_id, k, tid)] = add_var(
-            Variable(
-                name=f"g_{_lp_name(bus_id)}_{k}_{_lp_name(tid)}",
-                lb=0.0,
-                ub=math.inf,
-                is_integer=False,
-                obj=float(inst.step_rate[k]),
-                role="gain",
-                bus_id=bus_id,
-                k=k,
-                charger_type_id=tid,
-            )
+        g_of[(bus_id, k, tid)] = form.col(
+            f"g_{_lp_name(bus_id)}_{k}_{_lp_name(tid)}", 0.0, math.inf,
+            float(inst.step_rate[k]), "gain", bus_id=bus_id, k=k, tid=tid,
         )
 
     # --- meter energy and window power ----------------------------------------
-    e_of: Dict[int, int] = {}
-    for k in range(K):
-        e_of[k] = add_var(
-            Variable(f"e_{k}", 0.0, math.inf, False, 0.0, "energy", k=k)
-        )
-    p_of: Dict[int, int] = {}
-    for k in range(K + 1):
-        p_of[k] = add_var(
-            Variable(f"pD_{k}", 0.0, math.inf, False, 0.0, "window_power", k=k)
-        )
-    peak_idx = add_var(
-        Variable("p_max", 0.0, math.inf, False, float(rates.demand_base_per_kw), "peak")
-    )
-    peak_tou_idx = add_var(
-        Variable(
-            "p_max_tou", 0.0, math.inf, False, float(rates.demand_tou_per_kw), "peak_tou"
-        )
+    e_of = {k: form.col(f"e_{k}", 0.0, math.inf, 0.0, "energy", k=k) for k in range(K)}
+    p_of = {
+        k: form.col(f"pD_{k}", 0.0, math.inf, 0.0, "window_power", k=k)
+        for k in range(K + 1)
+    }
+    peak_idx = form.col("p_max", 0.0, math.inf, float(rates.demand_base_per_kw), "peak")
+    peak_tou_idx = form.col(
+        "p_max_tou", 0.0, math.inf, float(rates.demand_tou_per_kw), "peak_tou"
     )
 
     # --- soft lower-bound slacks ----------------------------------------------
@@ -306,17 +370,9 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     if options.soft_min_soc:
         for bus in scenario.buses:
             for k in range(1, K + 1):
-                slack_of[(bus.id, k)] = add_var(
-                    Variable(
-                        name=f"zmin_{_lp_name(bus.id)}_{k}",
-                        lb=0.0,
-                        ub=math.inf,
-                        is_integer=False,
-                        obj=float(options.soft_min_weight),
-                        role="soc_slack",
-                        bus_id=bus.id,
-                        k=k,
-                    )
+                slack_of[(bus.id, k)] = form.col(
+                    f"zmin_{_lp_name(bus.id)}_{k}", 0.0, math.inf,
+                    float(options.soft_min_weight), "soc_slack", bus_id=bus.id, k=k,
                 )
 
     # --- flow balance ----------------------------------------------------------
@@ -327,30 +383,18 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
         f = flow_rhs(sub)
         for row in range(sub.n_vertices):
             lo, hi = D.indptr[row], D.indptr[row + 1]
-            coeffs = tuple(
-                (x_of[sub.edge_offset + int(col)], float(val))
-                for col, val in zip(D.indices[lo:hi], D.data[lo:hi])
-            )
-            constraints.append(
-                LinearConstraint(
-                    name=f"flow_{_lp_name(sub.charger_type_id)}_{row}",
-                    coeffs=coeffs,
-                    sense="==",
-                    rhs=float(f[row]),
-                    family="flow",
-                )
+            form.row(
+                f"flow_{_lp_name(sub.charger_type_id)}_{row}", "flow",
+                ((x_of[sub.edge_offset + int(col)], float(val))
+                 for col, val in zip(D.indices[lo:hi], D.data[lo:hi])),
+                "==", f[row],
             )
 
     # --- one plug-in per visit ---------------------------------------------------
     for grp in graph.groups:
-        constraints.append(
-            LinearConstraint(
-                name=f"group_{_lp_name(grp.visit.id)}",
-                coeffs=tuple((x_of[gid], 1.0) for gid in grp.entering_edges),
-                sense="<=",
-                rhs=1.0,
-                family="group",
-            )
+        form.row(
+            f"group_{_lp_name(grp.visit.id)}", "group",
+            ((x_of[gid], 1.0) for gid in grp.entering_edges), "<=", 1.0,
         )
 
     # --- charge-level dynamics ---------------------------------------------------
@@ -358,21 +402,9 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
         for k in range(K):
             types = inst.charging_types_at(bus.id, k)
             coeffs = [(s_of[(bus.id, k + 1)], 1.0), (s_of[(bus.id, k)], -1.0)]
-            if types:
-                for tid in types:
-                    coeffs.append((g_of[(bus.id, k, tid)], -1.0))
-                rhs = 0.0
-            else:
-                rhs = -float(inst.discharge_kwh[j, k])
-            constraints.append(
-                LinearConstraint(
-                    name=f"dyn_{_lp_name(bus.id)}_{k}",
-                    coeffs=tuple(coeffs),
-                    sense="==",
-                    rhs=rhs,
-                    family="dynamics",
-                )
-            )
+            coeffs += [(g_of[(bus.id, k, tid)], -1.0) for tid in types]
+            rhs = 0.0 if types else -float(inst.discharge_kwh[j, k])
+            form.row(f"dyn_{_lp_name(bus.id)}_{k}", "dynamics", coeffs, "==", rhs)
 
     # --- gain bounds ---------------------------------------------------------------
     params_cache: Dict[Tuple[str, str], DiscreteChargeParams] = {}
@@ -387,44 +419,16 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
         cap = scenario.bus_by_id(bus_id).capacity_kwh
         tag = f"{_lp_name(bus_id)}_{k}_{_lp_name(tid)}"
         if options.fixed_rate:
-            constraints.append(
-                LinearConstraint(
-                    name=f"gfix_{tag}",
-                    coeffs=((gi, 1.0), (xi, -par.b_bar_cc)),
-                    sense="==",
-                    rhs=0.0,
-                    family="gain_fix",
-                )
-            )
+            form.row(f"gfix_{tag}", "gain_fix", ((gi, 1.0), (xi, -par.b_bar_cc)), "==", 0.0)
         else:
-            constraints.append(
-                LinearConstraint(
-                    name=f"gcc_{tag}",
-                    coeffs=((gi, 1.0),),
-                    sense="<=",
-                    rhs=par.b_bar_cc,
-                    family="gain_cc",
-                )
-            )
+            form.row(f"gcc_{tag}", "gain_cc", ((gi, 1.0),), "<=", par.b_bar_cc)
             if not options.linear_profile:
-                constraints.append(
-                    LinearConstraint(
-                        name=f"gcv_{tag}",
-                        coeffs=((gi, 1.0), (s_of[(bus_id, k)], -(par.a_bar_cv - 1.0))),
-                        sense="<=",
-                        rhs=par.b_bar_cv,
-                        family="gain_cv",
-                    )
+                form.row(
+                    f"gcv_{tag}", "gain_cv",
+                    ((gi, 1.0), (s_of[(bus_id, k)], -(par.a_bar_cv - 1.0))),
+                    "<=", par.b_bar_cv,
                 )
-        constraints.append(
-            LinearConstraint(
-                name=f"gbig_{tag}",
-                coeffs=((gi, 1.0), (xi, -cap)),
-                sense="<=",
-                rhs=0.0,
-                family="gain_bigm",
-            )
-        )
+        form.row(f"gbig_{tag}", "gain_bigm", ((gi, 1.0), (xi, -cap)), "<=", 0.0)
 
     # --- meter aggregation ------------------------------------------------------------
     gains_by_step: Dict[int, List[int]] = {}
@@ -432,15 +436,7 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
         gains_by_step.setdefault(k, []).append(gi)
     for k in range(K):
         coeffs = [(e_of[k], 1.0)] + [(gi, -1.0) for gi in gains_by_step.get(k, [])]
-        constraints.append(
-            LinearConstraint(
-                name=f"energy_{k}",
-                coeffs=tuple(coeffs),
-                sense="==",
-                rhs=float(inst.load_kwh[k]),
-                family="energy",
-            )
-        )
+        form.row(f"energy_{k}", "energy", coeffs, "==", inst.load_kwh[k])
 
     # --- moving demand window -----------------------------------------------------------
     window_h = rates.demand_window_minutes / 60.0
@@ -469,33 +465,12 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
                 coeffs.append((e_of[k_prime], -fracw))
             else:
                 const += fracw * history_energy(k_prime)
-        constraints.append(
-            LinearConstraint(
-                name=f"window_{k}",
-                coeffs=tuple(coeffs),
-                sense="==",
-                rhs=const,
-                family="window",
-            )
-        )
-        constraints.append(
-            LinearConstraint(
-                name=f"peak_{k}",
-                coeffs=((peak_idx, 1.0), (p_of[k], -1.0)),
-                sense=">=",
-                rhs=0.0,
-                family="peak",
-            )
-        )
+        form.row(f"window_{k}", "window", coeffs, "==", const)
+        form.row(f"peak_{k}", "peak", ((peak_idx, 1.0), (p_of[k], -1.0)), ">=", 0.0)
         if inst.instant_in_peak[k]:
-            constraints.append(
-                LinearConstraint(
-                    name=f"peak_tou_{k}",
-                    coeffs=((peak_tou_idx, 1.0), (p_of[k], -1.0)),
-                    sense=">=",
-                    rhs=0.0,
-                    family="peak_tou",
-                )
+            form.row(
+                f"peak_tou_{k}", "peak_tou",
+                ((peak_tou_idx, 1.0), (p_of[k], -1.0)), ">=", 0.0,
             )
 
     # --- soft lower bounds -----------------------------------------------------------------
@@ -504,23 +479,17 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
             cap = bus.capacity_kwh
             lo = (bus.min_soc + options.soc_buffer) * cap
             for k in range(1, K + 1):
-                constraints.append(
-                    LinearConstraint(
-                        name=f"softmin_{_lp_name(bus.id)}_{k}",
-                        coeffs=((s_of[(bus.id, k)], 1.0), (slack_of[(bus.id, k)], 1.0)),
-                        sense=">=",
-                        rhs=lo,
-                        family="soft_min",
-                    )
+                form.row(
+                    f"softmin_{_lp_name(bus.id)}_{k}", "soft_min",
+                    ((s_of[(bus.id, k)], 1.0), (slack_of[(bus.id, k)], 1.0)), ">=", lo,
                 )
 
-    names = [v.name for v in variables]
+    names = [tags[0] for *_, tags in form.cols]
     if len(set(names)) != len(names):
         raise ValueError("variable name collision after sanitization")
 
     return MilpModel(
-        variables=tuple(variables),
-        constraints=tuple(constraints),
+        **form.arrays(),
         graph=graph,
         options=options,
         x_of=x_of,
@@ -543,50 +512,23 @@ def add_terminal_cost(
     if weight < 0:
         raise ValueError("terminal weight must be non-negative")
     K = model.instance.n_steps
-    new_vars: List[Variable] = []
-    new_cons: List[LinearConstraint] = []
+    form = _Assembly(model)
     err_of = dict(model.err_of)
     terminal_targets = dict(model.terminal_targets)
-    base = model.n_variables
     for bus_id, target in targets.items():
         if (bus_id, K) not in model.s_of:
             raise KeyError(f"unknown bus {bus_id!r}")
-        idx = base + len(new_vars)
+        idx = form.col(
+            f"err_{_lp_name(bus_id)}", 0.0, math.inf, float(weight), "terminal_err",
+            bus_id=bus_id,
+        )
         err_of[bus_id] = idx
         terminal_targets[bus_id] = float(target)
-        new_vars.append(
-            Variable(
-                name=f"err_{_lp_name(bus_id)}",
-                lb=0.0,
-                ub=math.inf,
-                is_integer=False,
-                obj=float(weight),
-                role="terminal_err",
-                bus_id=bus_id,
-            )
-        )
         s_idx = model.s_of[(bus_id, K)]
-        new_cons.append(
-            LinearConstraint(
-                name=f"term_lo_{_lp_name(bus_id)}",
-                coeffs=((idx, 1.0), (s_idx, 1.0)),
-                sense=">=",
-                rhs=float(target),
-                family="terminal",
-            )
-        )
-        new_cons.append(
-            LinearConstraint(
-                name=f"term_hi_{_lp_name(bus_id)}",
-                coeffs=((idx, 1.0), (s_idx, -1.0)),
-                sense=">=",
-                rhs=-float(target),
-                family="terminal",
-            )
-        )
-    return model.extended(
-        new_vars, new_cons, err_of=err_of, terminal_targets=terminal_targets
-    )
+        tag = _lp_name(bus_id)
+        form.row(f"term_lo_{tag}", "terminal", ((idx, 1.0), (s_idx, 1.0)), ">=", target)
+        form.row(f"term_hi_{tag}", "terminal", ((idx, 1.0), (s_idx, -1.0)), ">=", -float(target))
+    return model.extended(form, err_of=err_of, terminal_targets=terminal_targets)
 
 
 def lock_charged_visits(model: MilpModel, charged_visit_ids: Iterable[str]) -> MilpModel:
@@ -597,25 +539,17 @@ def lock_charged_visits(model: MilpModel, charged_visit_ids: Iterable[str]) -> M
     capped at zero.
     """
     charged = set(charged_visit_ids)
-    new_cons: List[LinearConstraint] = []
+    form = _Assembly(model)
     for grp in model.graph.groups:
         if grp.visit.id not in charged:
             continue
-        coeffs = tuple(
-            (model.x_of[gid], 1.0)
-            for gid in grp.entering_edges
-            if model.graph.edge(gid).kind != "source"
+        form.row(
+            f"lock_{_lp_name(grp.visit.id)}", "lock",
+            ((model.x_of[gid], 1.0) for gid in grp.entering_edges
+             if model.graph.edge(gid).kind != "source"),
+            "<=", 0.0,
         )
-        new_cons.append(
-            LinearConstraint(
-                name=f"lock_{_lp_name(grp.visit.id)}",
-                coeffs=coeffs,
-                sense="<=",
-                rhs=0.0,
-                family="lock",
-            )
-        )
-    return model.extended((), new_cons)
+    return model.extended(form)
 
 
 # ---------------------------------------------------------------------------
@@ -816,9 +750,9 @@ def extract_plan(
         demand_tou = 0.0
 
     auxiliary = 0.0
-    for i, v in enumerate(model.variables):
-        if v.role in ("flow", "terminal_err", "soc_slack") and v.obj != 0.0:
-            auxiliary += v.obj * x[i]
+    for (_, role, *_), obj, x_i in zip(model.columns, model.c.tolist(), x):
+        if role in ("flow", "terminal_err", "soc_slack") and obj != 0.0:
+            auxiliary += obj * x_i
     objective = float(model.objective_vector() @ x)
     recomputed = consumption + demand_base + demand_tou + auxiliary
     if status != "infeasible" and abs(recomputed - objective) > 1e-6:

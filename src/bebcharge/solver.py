@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.optimize import linprog
 
 from .milp import MilpModel, window_averages
@@ -37,6 +36,7 @@ __all__ = [
 ]
 
 _FEAS_TOL = 1e-7
+_INT_TOL = 1e-6
 _CERT_TOL = 1e-6
 
 
@@ -49,14 +49,11 @@ class SolveLimits:
     """Branch-and-bound stopping rules.
 
     ``max_nodes`` caps LP solves (the root counts as one); ``mip_gap`` is the
-    relative incumbent/bound gap below which the search stops; ``time_limit_s``
-    is wall-clock and off by default so solves stay deterministic.
+    relative incumbent/bound gap below which the search stops.
     """
 
     max_nodes: int = 200_000
     mip_gap: float = 1e-4
-    integrality_tol: float = 1e-6
-    time_limit_s: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -83,41 +80,25 @@ class MilpSolution:
 
 
 class _Matrices:
-    """The model in linprog form; reused across branch-and-bound nodes with
-    bounds-only updates."""
+    """The model in linprog form: its stored rows split into equality rows and
+    ``<=`` rows (``>=`` rows negated), each in model order; reused across
+    branch-and-bound nodes with bounds-only updates."""
 
     def __init__(self, model: MilpModel):
-        n = model.n_variables
-        self.c = model.objective_vector()
-        eq_r: List[int] = []
-        eq_c: List[int] = []
-        eq_v: List[float] = []
-        eq_rhs: List[float] = []
-        ub_r: List[int] = []
-        ub_c: List[int] = []
-        ub_v: List[float] = []
-        ub_rhs: List[float] = []
-        for con in model.constraints:
-            if con.sense == "==":
-                row = len(eq_rhs)
-                eq_rhs.append(con.rhs)
-                for i, coef in con.coeffs:
-                    eq_r.append(row)
-                    eq_c.append(i)
-                    eq_v.append(coef)
-            else:
-                # >= rows are negated into <= form
-                sign = 1.0 if con.sense == "<=" else -1.0
-                row = len(ub_rhs)
-                ub_rhs.append(sign * con.rhs)
-                for i, coef in con.coeffs:
-                    ub_r.append(row)
-                    ub_c.append(i)
-                    ub_v.append(sign * coef)
-        self.A_eq = sp.csr_matrix((eq_v, (eq_r, eq_c)), shape=(len(eq_rhs), n))
-        self.b_eq = np.array(eq_rhs)
-        self.A_ub = sp.csr_matrix((ub_v, (ub_r, ub_c)), shape=(len(ub_rhs), n))
-        self.b_ub = np.array(ub_rhs)
+        self.c = model.c
+        lo, hi = model.row_lo, model.row_hi
+        eq = np.flatnonzero(lo == hi)
+        self.A_eq = model.A[eq]
+        self.b_eq = hi[eq]
+        ineq = np.flatnonzero(lo != hi)
+        sign = np.where(lo[ineq] == -math.inf, 1.0, -1.0)
+        self.A_ub = model.A[ineq]
+        self.A_ub.data *= np.repeat(sign, np.diff(self.A_ub.indptr))
+        self.b_ub = np.where(sign > 0, hi[ineq], -lo[ineq])
+        # canonical CSR (columns sorted within each row), so row products
+        # sum in column order
+        self.A_eq.sum_duplicates()
+        self.A_ub.sum_duplicates()
 
     def solve(self, lb: np.ndarray, ub: np.ndarray, cost: Optional[np.ndarray] = None):
         res = linprog(
@@ -226,52 +207,43 @@ def validate_solution(model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> Dic
     """Residual report for an assignment: worst violation per constraint
     family plus bound and integrality violations.  ``ok`` summarizes."""
     x = np.asarray(x, dtype=float)
-    lb, ub = model.bound_arrays()
-    report: Dict = {"families": {}}
-    worst = 0.0
-    for con in model.constraints:
-        lhs = sum(coef * x[i] for i, coef in con.coeffs)
-        if con.sense == "==":
-            viol = abs(lhs - con.rhs)
-        elif con.sense == "<=":
-            viol = max(0.0, lhs - con.rhs)
-        else:
-            viol = max(0.0, con.rhs - lhs)
-        fam = report["families"]
-        fam[con.family] = max(fam.get(con.family, 0.0), viol)
-        worst = max(worst, viol)
+    lhs = model.A @ x
+    viol = np.maximum(np.maximum(model.row_lo - lhs, lhs - model.row_hi), 0.0)
+    families = {
+        fam: float(viol[model.row_family == i].max())
+        for i, fam in enumerate(model.families)
+    }
+    worst = float(viol.max(initial=0.0))
     bound_viol = float(
         max(
-            np.maximum(lb - x, 0.0).max(initial=0.0),
-            np.maximum(x - ub, 0.0).max(initial=0.0),
+            np.maximum(model.lb - x, 0.0).max(initial=0.0),
+            np.maximum(x - model.ub, 0.0).max(initial=0.0),
         )
     )
     int_idx = model.integer_indices()
-    int_viol = (
-        float(np.abs(x[int_idx] - np.round(x[int_idx])).max(initial=0.0))
-        if len(int_idx)
-        else 0.0
-    )
-    report["max_constraint_violation"] = worst
-    report["max_bound_violation"] = bound_viol
-    report["max_integrality_violation"] = int_viol
-    report["ok"] = worst <= tol and bound_viol <= tol and int_viol <= tol
-    return report
+    int_viol = float(np.abs(x[int_idx] - np.round(x[int_idx])).max(initial=0.0))
+    return {
+        "families": families,
+        "max_constraint_violation": worst,
+        "max_bound_violation": bound_viol,
+        "max_integrality_violation": int_viol,
+        "ok": worst <= tol and bound_viol <= tol and int_viol <= tol,
+    }
 
 
-def _is_integral(x: np.ndarray, int_idx: np.ndarray, tol: float) -> bool:
+def _is_integral(x: np.ndarray, int_idx: np.ndarray) -> bool:
     if not len(int_idx):
         return True
-    return bool(np.abs(x[int_idx] - np.round(x[int_idx])).max() <= tol)
+    return bool(np.abs(x[int_idx] - np.round(x[int_idx])).max() <= _INT_TOL)
 
 
-def _branch_variable(x: np.ndarray, int_idx: np.ndarray, tol: float) -> Optional[int]:
+def _branch_variable(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
     """Most fractional integer variable; ties go to the lowest index."""
     best: Optional[int] = None
     best_dist = math.inf
     for i in int_idx:
         frac = x[i] - math.floor(x[i])
-        if min(frac, 1.0 - frac) <= tol:
+        if min(frac, 1.0 - frac) <= _INT_TOL:
             continue
         dist = abs(frac - 0.5)
         if dist < best_dist - 1e-12:
@@ -450,7 +422,7 @@ def branch_and_bound(
 
     if incumbent is not None:
         note_improvement(root_bound)
-    if incumbent is None and not _is_integral(root_x, int_idx, limits.integrality_tol):
+    if incumbent is None and not _is_integral(root_x, int_idx):
         pumped = _lp_guided_incumbent(mats, model, lb0, ub0, root_x, int_idx)
         if pumped is not None:
             incumbent = pumped
@@ -458,13 +430,6 @@ def branch_and_bound(
             note_improvement(root_bound)
     if root_bound < inc_obj:
         current = (root_bound, lb0, ub0, root_x)
-
-    def out_of_budget() -> bool:
-        if nodes >= limits.max_nodes:
-            return True
-        if limits.time_limit_s is not None:
-            return time.monotonic() - t0 >= limits.time_limit_s
-        return False
 
     limited = False
     while current is not None or heap:
@@ -482,14 +447,14 @@ def branch_and_bound(
             return MilpSolution(
                 "optimal", inc_obj, incumbent, bound, nodes, _relative_gap(inc_obj, bound)
             )
-        branch = _branch_variable(x, int_idx, limits.integrality_tol)
+        branch = _branch_variable(x, int_idx)
         if branch is None:
             if bound < inc_obj:
                 incumbent = x
                 inc_obj = bound
                 note_improvement(global_bound(bound))
             continue
-        if out_of_budget():
+        if nodes >= limits.max_nodes:
             limited = True
             heapq.heappush(heap, (bound, seq, lb, ub, x))
             seq += 1
@@ -510,7 +475,7 @@ def branch_and_bound(
             cbound, cx = sol
             if cbound >= inc_obj:
                 continue
-            if _is_integral(cx, int_idx, limits.integrality_tol):
+            if _is_integral(cx, int_idx):
                 incumbent = cx
                 inc_obj = cbound
                 note_improvement(global_bound(bound))
@@ -677,11 +642,11 @@ def build_warm_start(
 
     # slacks, terminal errors, meter chain
     if options.soft_min_soc:
-        for v_idx, var in enumerate(model.variables):
-            if var.role == "soc_slack":
-                s_val = x[model.s_of[(var.bus_id, var.k)]]
-                cap = scenario.bus_by_id(var.bus_id).capacity_kwh
-                lo = (scenario.bus_by_id(var.bus_id).min_soc + options.soc_buffer) * cap
+        for v_idx, (_, role, bus_id, k, _) in enumerate(model.columns):
+            if role == "soc_slack":
+                s_val = x[model.s_of[(bus_id, k)]]
+                cap = scenario.bus_by_id(bus_id).capacity_kwh
+                lo = (scenario.bus_by_id(bus_id).min_soc + options.soc_buffer) * cap
                 x[v_idx] = max(0.0, lo - s_val)
     for bus_id, err_idx in model.err_of.items():
         target = model.terminal_targets[bus_id]

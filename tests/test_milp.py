@@ -452,3 +452,12 @@ def test_lp_export_golden_snapshot(tmp_path):
     with open(GOLDEN, "rb") as fh:
         frozen = fh.read()
     assert fresh == frozen
+
+
+def test_model_arrays_are_read_only():
+    # callers share the stored arrays: a write must not reach a frozen model
+    model, _, _ = tiny_model()
+    lb, ub = model.bound_arrays()
+    for arr in (lb, ub, model.objective_vector(), model.integer_indices(), model.A.data):
+        with pytest.raises(ValueError):
+            arr[0] = arr[0] + 1.0

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bebcharge.graph import build_action_graph
 from bebcharge.milp import ModelOptions, add_terminal_cost, build_static_model, extract_plan
@@ -292,7 +294,35 @@ def test_determinism_across_repeat_solves():
         assert sol_a.objective == sol_b.objective
 
 
-def test_validate_solution_flags_violations():
+def row_walk_report(model, x):
+    """Worst violation per family, bound and integrality violation, walked
+    over the row and column views the way
+    ``test_milp.assert_assignment_feasible`` checks them."""
+    families = {}
+    for con in model.constraints:
+        lhs = sum(coef * x[i] for i, coef in con.coeffs)
+        if con.sense == "==":
+            viol = abs(lhs - con.rhs)
+        elif con.sense == "<=":
+            viol = max(0.0, lhs - con.rhs)
+        else:
+            viol = max(0.0, con.rhs - lhs)
+        families[con.family] = max(families.get(con.family, 0.0), viol)
+    bound = max(max(0.0, v.lb - x[i], x[i] - v.ub) for i, v in enumerate(model.variables))
+    integral = max(
+        (abs(x[i] - round(x[i])) for i, v in enumerate(model.variables) if v.is_integer),
+        default=0.0,
+    )
+    return families, bound, integral
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    moves=st.lists(
+        st.tuples(st.integers(min_value=0), st.floats(-200.0, 200.0)), max_size=6
+    )
+)
+def test_validate_solution_flags_violations(moves):
     model, graph, _ = tiny_model()
     x = feasible_assignment(model, graph)
     assert validate_solution(model, x)["ok"]
@@ -305,3 +335,18 @@ def test_validate_solution_flags_violations():
     report2 = validate_solution(model, x2)
     assert report2["max_integrality_violation"] == pytest.approx(0.4)
     assert not report2["ok"]
+
+    # a perturbed hand assignment: the sparse report matches a row walk
+    x3 = feasible_assignment(model, graph)
+    for i, delta in moves:
+        x3[i % model.n_variables] += delta
+    report3 = validate_solution(model, x3)
+    families, bound, integral = row_walk_report(model, x3)
+    close = lambda v: pytest.approx(v, rel=1e-12, abs=1e-12)
+    assert list(report3["families"]) == list(families)
+    for family, worst in families.items():
+        assert report3["families"][family] == close(worst), family
+    assert report3["max_constraint_violation"] == close(max(families.values()))
+    assert report3["max_bound_violation"] == close(bound)
+    assert report3["max_integrality_violation"] == close(integral)
+    assert report3["ok"] == (max(max(families.values()), bound, integral) <= 1e-6)
