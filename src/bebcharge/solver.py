@@ -1,14 +1,18 @@
 """Desk-scale MILP solver: certified LP relaxations plus branch and bound.
 
-The LP backend is scipy's HiGHS interface; every relaxation reported optimal
-is re-checked here (primal feasibility, dual feasibility signs, stationarity,
-and strong duality from the returned marginals) before its value is trusted as
-a bound.  Branch and bound is written out in full: most-fractional branching
-with lowest-index tie breaks, best-first node selection with depth-first
-plunging (children are solved on creation and the better one is explored
-immediately), incumbent warm starts, and a relative-gap stopping rule.  All
-choices are deterministic so repeated solves of the same model produce
-byte-identical results.
+The LP backend is scipy's HiGHS.  ``solve_lp`` goes through ``linprog`` and
+re-checks every relaxation reported optimal here (primal feasibility, dual
+feasibility signs, stationarity, and strong duality from the returned
+marginals) before its value is trusted as a bound.  Branch and bound loads
+the model into one HiGHS LP per search and solves every node on it cold,
+changing only the column bounds; each node's answer is exactly the one a
+fresh ``linprog`` call would give, and is trusted on HiGHS' status.  The
+search is written out in full: most-fractional branching with lowest-index
+tie breaks, best-first node selection with depth-first plunging (children
+are solved on creation and the better one is explored immediately),
+incumbent warm starts, and a relative-gap stopping rule.  All choices are
+deterministic so repeated solves of the same model produce byte-identical
+results.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.optimize._highspy import _core as _highs
+from scipy.sparse import coo_array, csc_array, vstack
 
 from .milp import MilpModel, window_averages
 
@@ -81,8 +87,9 @@ class MilpSolution:
 
 class _Matrices:
     """The model in linprog form: its stored rows split into equality rows and
-    ``<=`` rows (``>=`` rows negated), each in model order; reused across
-    branch-and-bound nodes with bounds-only updates."""
+    ``<=`` rows (``>=`` rows negated), each in model order.  ``solve_lp``
+    hands these to ``linprog`` and certifies its answer against them;
+    ``_NodeLp`` loads them into HiGHS once per branch-and-bound search."""
 
     def __init__(self, model: MilpModel):
         self.c = model.c
@@ -100,9 +107,9 @@ class _Matrices:
         self.A_eq.sum_duplicates()
         self.A_ub.sum_duplicates()
 
-    def solve(self, lb: np.ndarray, ub: np.ndarray, cost: Optional[np.ndarray] = None):
+    def solve(self, lb: np.ndarray, ub: np.ndarray):
         res = linprog(
-            self.c if cost is None else cost,
+            self.c,
             A_ub=self.A_ub,
             b_ub=self.b_ub,
             A_eq=self.A_eq,
@@ -114,7 +121,7 @@ class _Matrices:
             # numerical difficulties: retry on the dual simplex, which rebuilds
             # the basis from scratch and usually clears them (deterministic)
             res = linprog(
-                self.c if cost is None else cost,
+                self.c,
                 A_ub=self.A_ub,
                 b_ub=self.b_ub,
                 A_eq=self.A_eq,
@@ -123,6 +130,118 @@ class _Matrices:
                 method="highs-ds",
             )
         return res
+
+
+# HiGHS model status -> linprog status, as linprog maps them
+# (scipy.optimize._linprog_highs._highs_to_scipy_status_message); any other
+# status is 4
+_LP_STATUS = {
+    _highs.HighsModelStatus.kOptimal: 0,
+    _highs.HighsModelStatus.kTimeLimit: 1,
+    _highs.HighsModelStatus.kIterationLimit: 1,
+    _highs.HighsModelStatus.kInfeasible: 2,
+    _highs.HighsModelStatus.kModelError: 2,
+    _highs.HighsModelStatus.kUnbounded: 3,
+}
+
+# the options linprog(method="highs") sets; "highs-ds" adds solver="simplex"
+_HIGHS_OPTIONS = {
+    "presolve": "on",
+    "highs_debug_level": 0,
+    "log_to_console": False,
+    "output_flag": False,
+    "simplex_strategy": int(
+        _highs.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    ),
+}
+
+# linprog's post-solve feasibility tolerance (its default tol of 1e-9,
+# widened as in scipy.optimize._linprog_util._check_result)
+_CHECK_TOL = math.sqrt(1e-9) * 10
+
+
+def _lp_status(model_status) -> int:
+    return _LP_STATUS.get(model_status, 4)
+
+
+class _NodeLp:
+    """One HiGHS LP for a whole branch-and-bound search.
+
+    The model is loaded once; each node solve changes only the column bounds
+    and clears the previous solve's basis, so every solve starts cold.  HiGHS
+    sees exactly the LP ``linprog(method="highs")`` builds from ``_Matrices``
+    (``A_ub`` stacked above ``A_eq`` in CSC form, rows ``(-inf, b_ub]`` and
+    ``[b_eq, b_eq]``, the same options), and the answer passes the same
+    status map and feasibility check, so ``solve`` gives what ``linprog``
+    gives, bit for bit, without re-cleaning and re-converting the matrices
+    at every node.
+    """
+
+    def __init__(self, mats: _Matrices, lb: np.ndarray, ub: np.ndarray):
+        A = csc_array(vstack((coo_array(mats.A_ub), coo_array(mats.A_eq))))
+        n_rows, n_cols = A.shape
+        self.n_ub = len(mats.b_ub)
+        self.row_hi = np.concatenate((mats.b_ub, mats.b_eq))
+        lp = _highs.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
+        lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.start_ = A.indptr
+        lp.a_matrix_.index_ = A.indices
+        lp.a_matrix_.value_ = A.data
+        lp.col_cost_ = mats.c
+        lp.row_lower_ = np.concatenate((np.full(self.n_ub, -math.inf), mats.b_eq))
+        lp.row_upper_ = self.row_hi
+        self.lp = lp
+        self.cols = np.arange(n_cols, dtype=np.int32)
+        self.highs = self._load(lb, ub)
+
+    def _load(self, lb: np.ndarray, ub: np.ndarray, **options) -> "_highs._Highs":
+        self.lp.col_lower_ = lb
+        self.lp.col_upper_ = ub
+        highs = _highs._Highs()
+        for key, value in {**_HIGHS_OPTIONS, **options}.items():
+            highs.setOptionValue(key, value)
+        if highs.passModel(self.lp) == _highs.HighsStatus.kError:
+            raise SolverError("HiGHS rejected the model")
+        return highs
+
+    def solve(
+        self, lb: np.ndarray, ub: np.ndarray
+    ) -> Tuple[int, float, Optional[np.ndarray]]:
+        """linprog's ``(status, fun, x)`` under these column bounds; ``x`` is
+        None unless the status is 0 (optimal)."""
+        self.highs.changeColsBounds(len(self.cols), self.cols, lb, ub)
+        self.highs.clearSolver()
+        out = self._run(self.highs, lb, ub)
+        if out[0] == 4:
+            # numerical difficulties: retry once on a fresh dual simplex, as
+            # _Matrices.solve does
+            out = self._run(self._load(lb, ub, solver="simplex"), lb, ub)
+        return out
+
+    def _run(self, highs, lb: np.ndarray, ub: np.ndarray):
+        failed = highs.run() == _highs.HighsStatus.kError
+        status = _lp_status(highs.getModelStatus())
+        if failed or status != 0:
+            return (4 if status == 0 else status), math.nan, None
+        fun = highs.getInfo().objective_function_value
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        slack = self.row_hi - np.array(solution.row_value)
+        # linprog's check of the returned point: a NaN, or a bound or row
+        # missed by more than its tolerance, turns optimal into status 4
+        tol = _CHECK_TOL
+        if (
+            np.isnan(fun)
+            or np.isnan(x).any()
+            or np.isnan(slack).any()
+            or np.any((x < lb - tol) | (x > ub + tol))
+            or (slack[: self.n_ub] < -tol).any()
+            or (np.abs(slack[self.n_ub :]) > tol).any()
+        ):
+            return 4, math.nan, None
+        return 0, fun, x
 
 
 def _certify(mats: _Matrices, res) -> Tuple[bool, Dict[str, float]]:
@@ -259,7 +378,7 @@ def _relative_gap(objective: float, bound: float) -> float:
 
 
 def _lp_guided_incumbent(
-    mats: _Matrices,
+    lp: _NodeLp,
     model: MilpModel,
     lb: np.ndarray,
     ub: np.ndarray,
@@ -279,7 +398,6 @@ def _lp_guided_incumbent(
     re-optimize the continuous block under the true objective.  Every
     tie-break is deterministic.
     """
-    inst = model.instance
     gain_tol = 1e-7
 
     def lp_energy(bus_id, tid, k_start, k_end):
@@ -341,10 +459,9 @@ def _lp_guided_incumbent(
             continue
         flb, fub = lb.copy(), ub.copy()
         flb[int_idx] = fub[int_idx] = routed[int_idx]
-        res = mats.solve(flb, fub)
-        if res.status != 0:
+        status, _, cand = lp.solve(flb, fub)
+        if status != 0:
             continue
-        cand = np.asarray(res.x)
         if validate_solution(model, cand)["ok"]:
             return cand
     return None
@@ -370,6 +487,7 @@ def branch_and_bound(
     """
     mats = _Matrices(model)
     lb0, ub0 = model.bound_arrays()
+    lp = _NodeLp(mats, lb0, ub0)
     int_idx = model.integer_indices()
     t0 = time.monotonic()
 
@@ -396,14 +514,14 @@ def branch_and_bound(
     def solve_node(lb: np.ndarray, ub: np.ndarray):
         nonlocal nodes
         nodes += 1
-        res = mats.solve(lb, ub)
-        if res.status == 2:
+        status, fun, x = lp.solve(lb, ub)
+        if status == 2:
             return None
-        if res.status == 3:
+        if status == 3:
             raise SolverError("relaxation unbounded below a bounded parent")
-        if res.status != 0:
-            raise SolverError(f"LP backend failure (status {res.status})")
-        return float(res.fun), np.asarray(res.x)
+        if status != 0:
+            raise SolverError(f"LP backend failure (status {status})")
+        return float(fun), x
 
     root = solve_node(lb0, ub0)
     if root is None:
@@ -423,7 +541,7 @@ def branch_and_bound(
     if incumbent is not None:
         note_improvement(root_bound)
     if incumbent is None and not _is_integral(root_x, int_idx):
-        pumped = _lp_guided_incumbent(mats, model, lb0, ub0, root_x, int_idx)
+        pumped = _lp_guided_incumbent(lp, model, lb0, ub0, root_x, int_idx)
         if pumped is not None:
             incumbent = pumped
             inc_obj = float(mats.c @ pumped)

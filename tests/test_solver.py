@@ -1,5 +1,6 @@
-"""Solver tests: certified LP relaxations, branch and bound against the
-exhaustive oracle, warm starts, limits, and determinism."""
+"""Solver tests: certified LP relaxations, node LPs against linprog, branch
+and bound against the exhaustive oracle, warm starts, limits, and
+determinism."""
 
 import math
 
@@ -7,10 +8,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+from scipy.optimize._highspy._core import HighsModelStatus
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
+from bebcharge import solver
+from bebcharge.benchmarks import four_bus_day
 from bebcharge.graph import build_action_graph
 from bebcharge.milp import ModelOptions, add_terminal_cost, build_static_model, extract_plan
-from bebcharge.scenario import discretize
+from bebcharge.scenario import GeneratorBounds, discretize, generate_random_scenario
 from bebcharge.solver import (
     SolveLimits,
     SolverError,
@@ -75,6 +81,118 @@ def test_solve_lp_relaxation_below_integer_optimum():
     else:
         assert lp.status == "optimal" and lp.certified
         assert lp.objective <= mip.objective + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# node LPs: one HiGHS model per search, identical to a fresh linprog per node
+
+
+def linprog_reference(mats, lb, ub, method="highs"):
+    res = linprog(
+        mats.c,
+        A_ub=mats.A_ub,
+        b_ub=mats.b_ub,
+        A_eq=mats.A_eq,
+        b_eq=mats.b_eq,
+        bounds=np.column_stack([lb, ub]),
+        method=method,
+    )
+    return res.status, res.fun, res.x
+
+
+def assert_same_lp_answer(got, want):
+    status, fun, x = got
+    assert status == want[0]
+    if status == 0:
+        assert fun == want[1]
+        assert np.array_equal(x, want[2])
+    else:
+        assert x is None and want[2] is None
+
+
+def node_kind(lb, ub, lb0, ub0, int_idx):
+    if np.array_equal(lb, lb0) and np.array_equal(ub, ub0):
+        return "root"
+    if np.array_equal(lb[int_idx], ub[int_idx]):
+        return "fixed"  # the primal heuristic's frozen integer block
+    return "down" if np.any(ub < ub0) else "up"
+
+
+def generated_two_bus_model():
+    scenario = generate_random_scenario(0, GeneratorBounds(n_buses=2))
+    return build_static_model(build_action_graph(discretize(scenario, 5.0)))
+
+
+def bundled_day_model():
+    return build_static_model(build_action_graph(discretize(four_bus_day(), 5.0)))
+
+
+@pytest.mark.parametrize(
+    "make, kinds",
+    [
+        (lambda: tiny_model()[0], {"root"}),
+        (bundled_day_model, {"root", "down", "up", "fixed"}),
+        (generated_two_bus_model, {"root", "down", "up", "fixed"}),
+    ],
+    ids=["tiny", "four_bus_day", "generated_2bus"],
+)
+def test_node_lp_matches_linprog(monkeypatch, make, kinds):
+    model = make()
+    seen = []
+    real_solve = solver._NodeLp.solve
+
+    def spy(self, lb, ub):
+        out = real_solve(self, lb, ub)
+        seen.append((lb.copy(), ub.copy(), out))
+        return out
+
+    monkeypatch.setattr(solver._NodeLp, "solve", spy)
+    branch_and_bound(model, SolveLimits(mip_gap=0.0, max_nodes=8))
+    monkeypatch.undo()
+
+    mats = solver._Matrices(model)
+    lb0, ub0 = model.bound_arrays()
+    int_idx = model.integer_indices()
+    assert {node_kind(lb, ub, lb0, ub0, int_idx) for lb, ub, _ in seen} == kinds
+    for lb, ub, got in seen:
+        assert_same_lp_answer(got, linprog_reference(mats, lb, ub))
+
+    # no charging at all cannot restore the final levels; the model answers
+    # the root alike before and after that infeasible solve
+    no_charge = ub0.copy()
+    no_charge[list(model.g_of.values())] = 0.0
+    lp = solver._NodeLp(mats, lb0, ub0)
+    root = linprog_reference(mats, lb0, ub0)
+    assert_same_lp_answer(lp.solve(lb0, ub0), root)
+    assert lp.solve(lb0, no_charge)[0] == 2
+    assert_same_lp_answer(lp.solve(lb0, no_charge), linprog_reference(mats, lb0, no_charge))
+    assert_same_lp_answer(lp.solve(lb0, ub0), root)
+
+
+def test_node_lp_retries_on_a_fresh_dual_simplex(monkeypatch):
+    model = bundled_day_model()
+    mats = solver._Matrices(model)
+    lb0, ub0 = model.bound_arrays()
+    lp = solver._NodeLp(mats, lb0, ub0)
+    real_run = solver._NodeLp._run
+    runs = []
+
+    def first_run_fails(self, highs, lb, ub):
+        runs.append(highs)
+        out = real_run(self, highs, lb, ub)
+        return (4, math.nan, None) if len(runs) == 1 else out
+
+    monkeypatch.setattr(solver._NodeLp, "_run", first_run_fails)
+    got = lp.solve(lb0, ub0)
+    assert len(runs) == 2 and runs[1] is not lp.highs
+    assert_same_lp_answer(got, linprog_reference(mats, lb0, ub0, method="highs-ds"))
+
+
+@pytest.mark.parametrize(
+    "status", [*HighsModelStatus.__members__.values(), None], ids=str
+)
+def test_node_lp_status_map_matches_linprog(status):
+    assert solver._lp_status(status) == _highs_to_scipy_status_message(status, "")[0]
 
 
 # ---------------------------------------------------------------------------
