@@ -16,7 +16,10 @@ field names are pinned by golden-file tests; see README for a worked example.
 produces the arrays the optimization consumes: per-step route discharge
 (overlap-proportional), per-step uncontrolled load, per-step consumption
 prices, and the list of station visits with the grid steps that fall fully
-inside each visit (only those steps are charging-available).
+inside each visit (only those steps are charging-available).  These arrays
+are computed whole-array: :func:`step_overlap_minutes` gives the minutes of
+every grid step inside a time span (the truth model uses it too), and the rate
+lookups take arrays of times.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import yaml
@@ -52,6 +55,7 @@ __all__ = [
     "consumption_rate_at",
     "in_peak_window",
     "discretize",
+    "step_overlap_minutes",
 ]
 
 BLOCK_KINDS = ("on_route", "in_station", "at_depot")
@@ -494,16 +498,29 @@ def charging_params(bus: Bus, charger: ChargerType) -> ContinuousChargeParams:
 # rates
 
 
-def in_peak_window(rates: RateSchedule, t_min: float) -> bool:
-    """True iff ``t_min`` falls inside a half-open [start, end) peak window."""
-    return any(lo <= t_min < hi for lo, hi in rates.peak_windows)
+def in_peak_window(
+    rates: RateSchedule, t_min: Union[float, np.ndarray]
+) -> Union[bool, np.ndarray]:
+    """True iff ``t_min`` falls inside a half-open [start, end) peak window
+    (elementwise for an array of times)."""
+    t = np.asarray(t_min)
+    inside = np.zeros(t.shape, dtype=bool)
+    for lo, hi in rates.peak_windows:
+        inside |= (lo <= t) & (t < hi)
+    return inside if inside.ndim else bool(inside)
 
 
-def consumption_rate_at(rates: RateSchedule, t_min: float) -> float:
-    """$/kWh consumption price in effect at wall-clock minute ``t_min``."""
-    if in_peak_window(rates, t_min):
-        return rates.consumption_onpeak_per_kwh
-    return rates.consumption_offpeak_per_kwh
+def consumption_rate_at(
+    rates: RateSchedule, t_min: Union[float, np.ndarray]
+) -> Union[float, np.ndarray]:
+    """$/kWh consumption price in effect at wall-clock minute ``t_min``
+    (elementwise for an array of times)."""
+    price = np.where(
+        in_peak_window(rates, t_min),
+        rates.consumption_onpeak_per_kwh,
+        rates.consumption_offpeak_per_kwh,
+    )
+    return price if price.ndim else float(price)
 
 
 # ---------------------------------------------------------------------------
@@ -693,8 +710,19 @@ class DiscreteInstance:
         return ()
 
 
-def _overlap_minutes(a0: float, a1: float, b0: float, b1: float) -> float:
-    return max(0.0, min(a1, b1) - max(a0, b0))
+def step_overlap_minutes(
+    step_starts: np.ndarray, delta_min: float, span_start: float, span_end: float
+) -> np.ndarray:
+    """Minutes of each grid step [s, s + delta_min) inside [span_start, span_end)."""
+    return np.maximum(
+        0.0,
+        np.minimum(step_starts + delta_min, span_end) - np.maximum(step_starts, span_start),
+    )
+
+
+def _step_count(t0_min: float, t_end_min: float, delta_minutes: float) -> int:
+    """Whole grid steps of ``delta_minutes`` in [t0_min, t_end_min)."""
+    return int(math.floor((t_end_min - t0_min) / delta_minutes + 1e-9))
 
 
 def discretize(
@@ -716,28 +744,23 @@ def discretize(
     t_end = scenario.day_end_min if t_end_min is None else t_end_min
     if t_end <= t0:
         raise ValueError("window must have positive length")
-    n_steps = int(math.floor((t_end - t0) / delta_minutes + 1e-9))
+    n_steps = _step_count(t0, t_end, delta_minutes)
     if n_steps < 1:
         raise ValueError("window shorter than one step")
 
-    n_buses = len(scenario.buses)
-    discharge = np.zeros((n_buses, n_steps))
+    instants = t0 + delta_minutes * np.arange(n_steps + 1)
+    step_starts = instants[:-1]
+    discharge = np.zeros((len(scenario.buses), n_steps))
     load = np.zeros(n_steps)
-    step_starts = t0 + delta_minutes * np.arange(n_steps)
 
     visits: List[Visit] = []
     for j, bus in enumerate(scenario.buses):
         for bi, block in enumerate(bus.schedule):
             if block.kind == "on_route":
-                for k in range(n_steps):
-                    ov = _overlap_minutes(
-                        step_starts[k],
-                        step_starts[k] + delta_minutes,
-                        block.start_min,
-                        block.end_min,
-                    )
-                    if ov > 0:
-                        discharge[j, k] += block.route_power_kw * ov / 60.0
+                ov = step_overlap_minutes(
+                    step_starts, delta_minutes, block.start_min, block.end_min
+                )
+                discharge[j] += block.route_power_kw * ov / 60.0
             elif block.kind == "in_station":
                 k_start = int(math.ceil((block.start_min - t0) / delta_minutes - 1e-9))
                 k_end = int(math.floor((block.end_min - t0) / delta_minutes + 1e-9))
@@ -763,23 +786,8 @@ def discretize(
         ends = times[1:] + [float(max(scenario.day_end_min, times[-1] + 1))]
         for t_i, e_i, t_next in zip(times, energies, ends):
             power = e_i / ((t_next - t_i) / 60.0)
-            for k in range(n_steps):
-                ov = _overlap_minutes(
-                    step_starts[k], step_starts[k] + delta_minutes, t_i, t_next
-                )
-                if ov > 0:
-                    load[k] += power * ov / 60.0
+            load += power * step_overlap_minutes(step_starts, delta_minutes, t_i, t_next) / 60.0
 
-    step_rate = np.array(
-        [consumption_rate_at(scenario.rates, t) for t in step_starts]
-    )
-    instant_in_peak = np.array(
-        [
-            in_peak_window(scenario.rates, t0 + k * delta_minutes)
-            for k in range(n_steps + 1)
-        ],
-        dtype=bool,
-    )
     return DiscreteInstance(
         scenario=scenario,
         t0_min=t0,
@@ -788,6 +796,6 @@ def discretize(
         visits=tuple(visits),
         discharge_kwh=discharge,
         load_kwh=load,
-        step_rate=step_rate,
-        instant_in_peak=instant_in_peak,
+        step_rate=consumption_rate_at(scenario.rates, step_starts),
+        instant_in_peak=in_peak_window(scenario.rates, instants),
     )

@@ -42,10 +42,12 @@ from .scenario import (
     ChargerType,
     RateSchedule,
     Scenario,
+    _step_count,
     charging_params,
     consumption_rate_at,
     discretize,
     in_peak_window,
+    step_overlap_minutes,
 )
 from .solver import MilpSolution, SolveLimits, branch_and_bound
 
@@ -267,11 +269,8 @@ class TruthEnvironment:
                     ):
                         # driving continues until the (perturbed) arrival
                         end = self.arrivals[f"{bus.id}:v{nxt}"]
-                    ov = np.clip(
-                        np.minimum(end, starts + TRUTH_DELTA_MIN)
-                        - np.maximum(float(block.start_min), starts),
-                        0.0,
-                        None,
+                    ov = step_overlap_minutes(
+                        starts, TRUTH_DELTA_MIN, block.start_min, end
                     )
                     self._drive_minutes[j] += ov
                     self._drive_kwh[j] += block.route_power_kw * ov / 60.0
@@ -285,11 +284,8 @@ class TruthEnvironment:
                         charger_type_ids=tuple(block.charger_type_ids),
                     )
                     self.visit_spans[vid] = span
-                    ov = np.clip(
-                        np.minimum(span.end_min, starts + TRUTH_DELTA_MIN)
-                        - np.maximum(span.arrival_min, starts),
-                        0.0,
-                        None,
+                    ov = step_overlap_minutes(
+                        starts, TRUTH_DELTA_MIN, span.arrival_min, span.end_min
                     )
                     self._presence_hours[j] += ov / 60.0
                     for k in np.nonzero(ov > 0)[0]:
@@ -446,17 +442,12 @@ def billing_oracle(
     padded = np.concatenate([np.zeros(pad), hist, e])
     base = pad + hist.size  # index of step 0 in `padded`
     csum = np.concatenate([[0.0], np.cumsum(padded)])
-    window_kw = np.empty(n + 1)
-    for k in range(n + 1):
-        i = base + k
-        whole = csum[i] - csum[i - m]
-        window_kw[k] = (whole + frac * padded[i - m - 1]) / window_h
+    i = base + np.arange(n + 1)
+    window_kw = (csum[i] - csum[i - m] + frac * padded[i - m - 1]) / window_h
 
     instants = t0_min + delta_min * np.arange(n + 1)
-    tou_mask = np.array([in_peak_window(rates, t) for t in instants], dtype=bool)
-    step_rates = np.array(
-        [consumption_rate_at(rates, t) for t in instants[:-1]]
-    )
+    tou_mask = in_peak_window(rates, instants)
+    step_rates = consumption_rate_at(rates, instants[:-1])
 
     consumption = float(step_rates @ e)
     demand_base = rates.demand_base_per_kw * float(window_kw.max())
@@ -692,11 +683,7 @@ def simulate_run(
 ) -> SimRun:
     """Run one strategy for one seeded noise draw and bill the outcome."""
     params = params if params is not None else NoiseParams()
-    n_truth = int(
-        math.floor(
-            (scenario.day_end_min - scenario.day_start_min) / TRUTH_DELTA_MIN + 1e-9
-        )
-    )
+    n_truth = _step_count(scenario.day_start_min, scenario.day_end_min, TRUTH_DELTA_MIN)
     noise = sample_run_noise(scenario, params, seed, n_truth)
     env = TruthEnvironment(scenario, noise, params)
     if strategy == "qin":

@@ -357,17 +357,21 @@ def _is_integral(x: np.ndarray, int_idx: np.ndarray) -> bool:
 
 
 def _branch_variable(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
-    """Most fractional integer variable; ties go to the lowest index."""
+    """Most fractional integer variable.
+
+    Candidates are taken in ``int_idx`` order and one replaces the current
+    choice only when it is closer to 0.5 by more than 1e-12, so near-ties go
+    to the earlier index.
+    """
+    values = x[int_idx]
+    frac = values - np.floor(values)
+    fractional = np.minimum(frac, 1.0 - frac) > _INT_TOL
     best: Optional[int] = None
     best_dist = math.inf
-    for i in int_idx:
-        frac = x[i] - math.floor(x[i])
-        if min(frac, 1.0 - frac) <= _INT_TOL:
-            continue
-        dist = abs(frac - 0.5)
+    for i, dist in zip(int_idx[fractional].tolist(), np.abs(frac[fractional] - 0.5).tolist()):
         if dist < best_dist - 1e-12:
             best_dist = dist
-            best = int(i)
+            best = i
     return best
 
 

@@ -1,14 +1,14 @@
 """Closed-loop tests for the hierarchical receding-horizon controller."""
 
 import csv
-import math
 
 import numpy as np
 import pytest
 
 from bebcharge.milp import ChargePlan
-from bebcharge.scenario import ChargerType, Scenario, ScheduleBlock
+from bebcharge.scenario import ChargerType, Scenario, ScheduleBlock, _step_count
 from bebcharge.simulation import (
+    TRUTH_DELTA_MIN,
     NoiseParams,
     TruthEnvironment,
     billing_oracle,
@@ -32,9 +32,7 @@ from helpers import make_bus, single_visit_scenario
 def make_closed_loop(scenario, seed=0, params=None):
     """Environment + initial state the way the simulation layer wires them."""
     params = params or NoiseParams.zero()
-    n_truth = int(
-        math.floor(scenario.day_end_min - scenario.day_start_min)
-    )
+    n_truth = _step_count(scenario.day_start_min, scenario.day_end_min, TRUTH_DELTA_MIN)
     noise = sample_run_noise(scenario, params, seed, n_truth)
     env = TruthEnvironment(scenario, noise, params)
     state = ExecutionState(

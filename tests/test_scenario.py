@@ -1,10 +1,11 @@
 """Scenario model, file format, random generator, and grid discretization."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bebcharge.scenario import (
@@ -25,7 +26,10 @@ from bebcharge.scenario import (
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    step_overlap_minutes,
 )
+
+from helpers import mini_scenario
 
 
 def tiny_scenario(**kwargs):
@@ -78,6 +82,11 @@ def test_peak_windows_are_half_open():
     assert not in_peak_window(rates, 540.0)  # 09:00 exclusive
     assert in_peak_window(rates, 1080.0)
     assert not in_peak_window(rates, 1320.0)
+    times = np.array([359.9, 360.0, 539.9, 540.0, 1080.0, 1320.0])
+    np.testing.assert_array_equal(
+        in_peak_window(rates, times), [False, True, True, False, True, False]
+    )
+    assert in_peak_window(rates, times.reshape(2, 3)).shape == (2, 3)
 
 
 def test_consumption_rate_switches_at_boundaries():
@@ -85,6 +94,10 @@ def test_consumption_rate_switches_at_boundaries():
     assert consumption_rate_at(rates, 300) == rates.consumption_offpeak_per_kwh
     assert consumption_rate_at(rates, 360) == rates.consumption_onpeak_per_kwh
     assert consumption_rate_at(rates, 540) == rates.consumption_offpeak_per_kwh
+    off, on = rates.consumption_offpeak_per_kwh, rates.consumption_onpeak_per_kwh
+    prices = consumption_rate_at(rates, np.array([300, 360, 540]))
+    assert prices.dtype == np.float64
+    np.testing.assert_array_equal(prices, [off, on, off])
 
 
 # ---------------------------------------------------------------------------
@@ -361,3 +374,117 @@ def test_window_smaller_than_day_clips():
     assert inst.n_steps == 6
     assert inst.visits[0].k_start == 0
     assert inst.visits[0].k_end == 6
+
+
+def test_step_overlap_minutes():
+    starts = 300 + 7.0 * np.arange(5)  # steps [300, 307), ..., [328, 335)
+    np.testing.assert_array_equal(
+        step_overlap_minutes(starts, 7.0, 305, 321.5), [2.0, 7.0, 7.0, 0.5, 0.0]
+    )
+    np.testing.assert_array_equal(step_overlap_minutes(starts, 7.0, 200, 290), np.zeros(5))
+
+
+def scalar_discretize(scenario, delta, t0=None, t_end=None):
+    """The per-step walk ``discretize`` replaced, kept as the reference: one
+    scalar overlap per grid step and route block or load row, and one scalar
+    rate lookup per step and instant."""
+
+    def overlap(a0, a1, b0, b1):
+        return max(0.0, min(a1, b1) - max(a0, b0))
+
+    def in_peak(t):
+        return any(lo <= t < hi for lo, hi in scenario.rates.peak_windows)
+
+    rates = scenario.rates
+    t0 = scenario.day_start_min if t0 is None else t0
+    t_end = scenario.day_end_min if t_end is None else t_end
+    n = int(math.floor((t_end - t0) / delta + 1e-9))
+    step_starts = t0 + delta * np.arange(n)
+    discharge = np.zeros((len(scenario.buses), n))
+    load = np.zeros(n)
+    visits = []
+    for j, bus in enumerate(scenario.buses):
+        for bi, block in enumerate(bus.schedule):
+            if block.kind == "on_route":
+                for k in range(n):
+                    ov = overlap(step_starts[k], step_starts[k] + delta,
+                                 block.start_min, block.end_min)
+                    if ov > 0:
+                        discharge[j, k] += block.route_power_kw * ov / 60.0
+            elif block.kind == "in_station":
+                k_start = max(int(math.ceil((block.start_min - t0) / delta - 1e-9)), 0)
+                k_end = min(int(math.floor((block.end_min - t0) / delta + 1e-9)), n)
+                if k_end > k_start:
+                    visits.append((f"{bus.id}:v{bi}", bus.id, bi,
+                                   tuple(block.charger_type_ids), k_start, k_end,
+                                   block.start_min, block.end_min))
+    if scenario.load_profile:
+        times = [t for t, _ in scenario.load_profile]
+        energies = [kwh for _, kwh in scenario.load_profile]
+        ends = times[1:] + [float(max(scenario.day_end_min, times[-1] + 1))]
+        for t_i, e_i, t_next in zip(times, energies, ends):
+            power = e_i / ((t_next - t_i) / 60.0)
+            for k in range(n):
+                ov = overlap(step_starts[k], step_starts[k] + delta, t_i, t_next)
+                if ov > 0:
+                    load[k] += power * ov / 60.0
+    step_rate = np.array([
+        rates.consumption_onpeak_per_kwh if in_peak(t) else rates.consumption_offpeak_per_kwh
+        for t in step_starts
+    ])
+    instant_in_peak = np.array([in_peak(t0 + k * delta) for k in range(n + 1)], dtype=bool)
+    return discharge, load, step_rate, instant_in_peak, visits
+
+
+@st.composite
+def discretize_cases(draw):
+    scenario = mini_scenario(draw(st.integers(0, 500)))
+    profile = draw(st.sampled_from(["own", "none", "rows"]))
+    if profile == "none":
+        scenario = dataclasses.replace(scenario, load_profile=())
+    elif profile == "rows":
+        times = draw(st.lists(
+            st.integers(scenario.day_start_min - 20, scenario.day_end_min + 5),
+            min_size=1, max_size=5, unique=True,
+        ))
+        energies = draw(st.lists(st.floats(0.0, 9.0), min_size=len(times), max_size=len(times)))
+        scenario = dataclasses.replace(
+            scenario, load_profile=tuple(zip(sorted(times), energies))
+        )
+    # mini days put routes before 07:00 and after 06:00; a moved peak window
+    # cuts through them
+    if draw(st.booleans()):
+        lo = draw(st.integers(scenario.day_start_min - 10, scenario.day_end_min))
+        scenario = dataclasses.replace(
+            scenario,
+            rates=dataclasses.replace(scenario.rates, peak_windows=((lo, lo + 37),)),
+        )
+    delta = draw(st.sampled_from([1.0, 2.5, 5.0, 7.0, 15.0]))
+    t0 = t_end = None
+    if draw(st.booleans()):  # shifted start
+        t0 = scenario.day_start_min + draw(st.integers(-10, 40))
+    if draw(st.booleans()):  # clipped or stretched end, not always on the grid
+        t_end = scenario.day_end_min - draw(st.integers(-5, 40)) + draw(st.sampled_from([0.0, 0.5]))
+    start = scenario.day_start_min if t0 is None else t0
+    end = scenario.day_end_min if t_end is None else t_end
+    assume(end - start >= delta)
+    return scenario, delta, t0, t_end
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=discretize_cases())
+def test_discretize_matches_the_scalar_step_walk(case):
+    scenario, delta, t0, t_end = case
+    inst = discretize(scenario, delta, t0_min=t0, t_end_min=t_end)
+    discharge, load, step_rate, instant_in_peak, visits = scalar_discretize(
+        scenario, delta, t0, t_end
+    )
+    for got, want in [(inst.discharge_kwh, discharge), (inst.load_kwh, load),
+                      (inst.step_rate, step_rate), (inst.instant_in_peak, instant_in_peak)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert [
+        (v.id, v.bus_id, v.block_index, v.charger_type_ids, v.k_start, v.k_end,
+         v.start_min, v.end_min)
+        for v in inst.visits
+    ] == visits

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bebcharge.charge_model import simulate_exact
 from bebcharge.milp import window_averages
@@ -14,6 +16,7 @@ from bebcharge.scenario import (
     Scenario,
     ScheduleBlock,
     charging_params,
+    discretize,
 )
 from bebcharge.simulation import (
     MCReport,
@@ -35,7 +38,7 @@ from bebcharge.simulation import (
     strategy_qin,
 )
 
-from helpers import make_bus, single_visit_scenario, two_type_scenario
+from helpers import make_bus, mini_scenario, single_visit_scenario, two_type_scenario
 from test_milp import exact_window_power
 
 
@@ -326,6 +329,109 @@ class TestTruthCharge:
         env.advance({"b1": ("fast", 120.0)})
         # present for half the minute at 120 kW -> 1 kWh
         assert env.charge_gain_kwh[0, 30] == pytest.approx(1.0, abs=1e-9)
+
+
+def minute_geometry(bus, arrivals, t):
+    """Drive minutes, drive kWh, presence minutes and the visited station
+    block of ``bus`` in the truth minute [t, t + 1), walked block by block."""
+    drive_min = drive_kwh = present_min = 0.0
+    station = None
+    for bi, block in enumerate(bus.schedule):
+        if block.kind == "on_route":
+            end = block.end_min
+            nxt = bus.schedule[bi + 1] if bi + 1 < len(bus.schedule) else None
+            if nxt is not None and nxt.kind == "in_station":
+                end = arrivals[f"{bus.id}:v{bi + 1}"]
+            ov = max(0.0, min(t + 1.0, end) - max(t, block.start_min))
+            drive_min += ov
+            drive_kwh += block.route_power_kw * ov / 60.0
+        elif block.kind == "in_station":
+            ov = max(0.0, min(t + 1.0, block.end_min) - max(t, arrivals[f"{bus.id}:v{bi}"]))
+            if ov > 0:
+                present_min += ov
+                station = block
+    return drive_min, drive_kwh, present_min, station
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    scenario_seed=st.integers(0, 300),
+    noise_seed=st.integers(0, 2**32 - 1),
+    command_seed=st.integers(0, 2**32 - 1),
+)
+def test_truth_levels_follow_charge_minus_drive(scenario_seed, noise_seed, command_seed):
+    # per bus and minute, away from the [0, capacity] clamps: the level
+    # changes by the realized charge minus the drive discharge, both with
+    # their bias and white noise; the meter is load plus positive charges
+    scenario = mini_scenario(scenario_seed)
+    params = NoiseParams()
+    n = scenario.day_end_min - scenario.day_start_min
+    noise = sample_run_noise(scenario, params, noise_seed, n)
+    env = TruthEnvironment(scenario, noise, params)
+    rng = np.random.default_rng(command_seed)
+    type_ids = [ct.id for ct in scenario.charger_types]
+    commands = []
+    while not env.done:
+        cmds = {}
+        for bus in scenario.buses:
+            if rng.random() < 0.6:
+                power = math.inf if rng.random() < 0.3 else float(rng.uniform(0.0, 150.0))
+                cmds[bus.id] = (type_ids[int(rng.integers(len(type_ids)))], power)
+        commands.append(cmds)
+        env.advance(cmds)
+
+    arrivals = perturb_arrivals(scenario, noise.arrival_shift_s)
+    close = lambda v: pytest.approx(v, rel=1e-9, abs=1e-9)
+    checked = charged = clamped = 0
+    for k in range(n):
+        t = float(scenario.day_start_min + k)
+        for j, bus in enumerate(scenario.buses):
+            cap = bus.capacity_kwh
+            level = env.soc_series[j, k]
+            drive_min, drive_kwh, present_min, station = minute_geometry(bus, arrivals, t)
+            drive = 0.0
+            if drive_min > 0:
+                drive = (
+                    drive_kwh
+                    - noise.beta_discharge_kw[bus.id] * drive_min / 60.0
+                    - params.discharge_white_kwh_per_sqrt_s
+                    * math.sqrt(drive_min * 60.0)
+                    * noise.white_discharge[j, k]
+                )
+            after_drive = level - drive
+            charge = 0.0
+            cmd = commands[k].get(bus.id)
+            plugged = (
+                cmd is not None and station is not None and cmd[0] in station.charger_type_ids
+            )
+            if plugged:
+                tid, power = cmd
+                charger = scenario.charger_by_id(tid)
+                pres_h = present_min / 60.0
+                attainable = (
+                    simulate_exact(charging_params(bus, charger), after_drive, pres_h)
+                    - after_drive
+                )
+                charge = (
+                    min(power * pres_h, attainable)
+                    + noise.beta_charge_kw[tid] * pres_h
+                    + params.charge_white_for(charger)
+                    * math.sqrt(pres_h * 3600.0)
+                    * noise.white_charge[type_ids.index(tid), k]
+                )
+            assert (env.charge_type[j][k] is not None) == plugged
+            if not (0.0 <= after_drive <= cap and 0.0 <= after_drive + charge <= cap):
+                clamped += 1
+                continue
+            checked += 1
+            charged += plugged
+            assert env.charge_gain_kwh[j, k] == close(charge)
+            assert env.soc_series[j, k + 1] - level == close(charge - drive)
+    assert checked > clamped and charged > 0
+
+    load = discretize(scenario, 1.0).load_kwh
+    positive = np.maximum(env.charge_gain_kwh, 0.0).sum(axis=0)
+    np.testing.assert_allclose(env.meter_kwh, load + positive, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

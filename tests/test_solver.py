@@ -468,3 +468,45 @@ def test_validate_solution_flags_violations(moves):
     assert report3["max_bound_violation"] == close(bound)
     assert report3["max_integrality_violation"] == close(integral)
     assert report3["ok"] == (max(max(families.values()), bound, integral) <= 1e-6)
+
+
+def branch_variable_loop(x, int_idx):
+    """The per-column walk ``solver._branch_variable`` replaced, kept as the
+    reference: first column in ``int_idx`` order that is closer to 0.5 than
+    every earlier record by more than 1e-12."""
+    best = None
+    best_dist = math.inf
+    for i in int_idx:
+        frac = x[i] - math.floor(x[i])
+        if min(frac, 1.0 - frac) <= solver._INT_TOL:
+            continue
+        dist = abs(frac - 0.5)
+        if dist < best_dist - 1e-12:
+            best_dist = dist
+            best = int(i)
+    return best
+
+
+# values on the integrality tolerance, exact ties and near-ties within 1e-12
+BRANCH_VALUES = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([1e-6, 1.0 - 1e-6, 1.5e-6, 2.0 + 9e-7]),
+    st.tuples(
+        st.integers(-2, 2),
+        st.sampled_from([0.5, 0.25, 0.75, 0.3, 0.7]),
+        st.sampled_from([0.0, 5e-13, -5e-13, 1e-12, -1e-12, 1.5e-12, -2e-12]),
+    ).map(lambda t: t[0] + t[1] + t[2]),
+    st.floats(-5.0, 5.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    values=st.lists(BRANCH_VALUES, min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_branch_variable_matches_the_column_walk(values, data):
+    x = np.array(values)
+    cols = data.draw(st.lists(st.sampled_from(range(x.size)), unique=True, min_size=1))
+    int_idx = np.array(sorted(cols) if data.draw(st.booleans()) else cols, dtype=np.int64)
+    assert solver._branch_variable(x, int_idx) == branch_variable_loop(x, int_idx)
