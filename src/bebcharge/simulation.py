@@ -16,11 +16,18 @@ re-derives sliding-window average power from a realized meter series with
 plain cumulative sums - deliberately sharing no code with the optimizer's
 constraint rows, so the two can cross-check each other.
 
+The environment tabulates, once per run, everything in a minute's update
+that does not depend on the battery level (drive energy and its noise,
+presence, visits, charger noise), so one kernel does only the clamps, the
+exact CC-CV gain and the meter.
+
 Three strategies can drive the environment: a reactive threshold heuristic
-(:func:`strategy_qin`), open-loop replay of a precomputed plan
-(:func:`strategy_open_loop`), and the hierarchical receding-horizon controller
-(dispatched lazily to :mod:`bebcharge.receding_horizon`).  Monte-Carlo and
-multi-day drivers aggregate runs into permutation-invariant reports.
+(:func:`strategy_qin`) and the hierarchical receding-horizon controller
+(dispatched lazily to :mod:`bebcharge.receding_horizon`) step it a minute at
+a time, while open-loop replay of a precomputed plan
+(:func:`strategy_open_loop`) builds the whole day's command table up front
+and runs it through the kernel in one call.  Monte-Carlo and multi-day
+drivers aggregate runs into permutation-invariant reports.
 """
 
 from __future__ import annotations
@@ -30,11 +37,11 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .charge_model import simulate_exact
+from .charge_model import ContinuousChargeParams, simulate_exact
 from .graph import build_action_graph
 from .milp import ChargePlan, ModelOptions, build_static_model, extract_plan
 from .scenario import (
@@ -227,6 +234,17 @@ class TruthEnvironment:
     bus with zero commanded power still sees charger noise, mirroring the
     planner's convention that engagement (not energy) activates the charger.
     Use ``math.inf`` as the power to request the full CC-CV rate.
+
+    Everything that does not depend on the battery level is tabulated once
+    per run, as plain per-bus lists indexed by minute: the drive kWh with
+    its bias and white-noise terms, the presence hours and the visit span,
+    next to the bus's capacity and CC-CV parameters per charger type; per
+    charger type, its bias, its white-noise sigma and its row of white
+    draws.  One kernel, :meth:`_run_minutes`, then steps a table of
+    per-minute commands through the level-dependent work only: the clamps,
+    :func:`~bebcharge.charge_model.simulate_exact` and the meter.
+    :meth:`advance` hands it one minute (the reactive and closed-loop
+    controllers); open-loop replay hands it the whole day at once.
     """
 
     def __init__(
@@ -239,22 +257,17 @@ class TruthEnvironment:
         self.n_steps = self.instance.n_steps
         self.t0_min = self.instance.t0_min
         self.bus_ids = [b.id for b in scenario.buses]
+        self._bus_index = {b: j for j, b in enumerate(self.bus_ids)}
         self._bus_by_id = {b.id: b for b in scenario.buses}
-        self._type_index = {ct.id: i for i, ct in enumerate(scenario.charger_types)}
         self._charger_by_id = {ct.id: ct for ct in scenario.charger_types}
-        self._charge_params = {
-            (bus.id, ct.id): charging_params(bus, ct)
-            for bus in scenario.buses
-            for ct in scenario.charger_types
-        }
         self.arrivals = perturb_arrivals(scenario, noise.arrival_shift_s)
 
         n_b, n_s = len(self.bus_ids), self.n_steps
         starts = self.t0_min + TRUTH_DELTA_MIN * np.arange(n_s)
-        self._drive_kwh = np.zeros((n_b, n_s))
-        self._drive_minutes = np.zeros((n_b, n_s))
-        self._presence_hours = np.zeros((n_b, n_s))
-        self._visit_of_step: List[List[Optional["_VisitSpan"]]] = [
+        drive_kwh = np.zeros((n_b, n_s))
+        drive_minutes = np.zeros((n_b, n_s))
+        presence_hours = np.zeros((n_b, n_s))
+        visit_of_step: List[List[Optional["_VisitSpan"]]] = [
             [None] * n_s for _ in range(n_b)
         ]
         self.visit_spans: Dict[str, "_VisitSpan"] = {}
@@ -272,8 +285,8 @@ class TruthEnvironment:
                     ov = step_overlap_minutes(
                         starts, TRUTH_DELTA_MIN, block.start_min, end
                     )
-                    self._drive_minutes[j] += ov
-                    self._drive_kwh[j] += block.route_power_kw * ov / 60.0
+                    drive_minutes[j] += ov
+                    drive_kwh[j] += block.route_power_kw * ov / 60.0
                 elif block.kind == "in_station":
                     vid = f"{bus.id}:v{bi}"
                     span = _VisitSpan(
@@ -287,9 +300,9 @@ class TruthEnvironment:
                     ov = step_overlap_minutes(
                         starts, TRUTH_DELTA_MIN, span.arrival_min, span.end_min
                     )
-                    self._presence_hours[j] += ov / 60.0
+                    presence_hours[j] += ov / 60.0
                     for k in np.nonzero(ov > 0)[0]:
-                        self._visit_of_step[j][int(k)] = span
+                        visit_of_step[j][int(k)] = span
 
         self.soc = {
             b.id: b.initial_soc * b.capacity_kwh for b in scenario.buses
@@ -302,6 +315,48 @@ class TruthEnvironment:
             [None] * n_s for _ in range(n_b)
         ]
         self._k = 0
+
+        # per-run tables; each noise term keeps the operand order of the
+        # minute update, so the kernel's floats are the per-minute arithmetic's
+        beta_d = np.array([noise.beta_discharge_kw[b] for b in self.bus_ids])
+        drive_bias = beta_d.reshape(-1, 1) * (drive_minutes / 60.0)
+        drive_white = (
+            params.discharge_white_kwh_per_sqrt_s
+            * np.sqrt(drive_minutes * 60.0)
+            * noise.white_discharge[:, :n_s]
+        )
+        # a minute without driving has no drive kWh: None, not 0.0
+        kwh = drive_kwh.astype(object)
+        kwh[~(drive_minutes > 0)] = None
+        kwh_rows, bias_rows = kwh.tolist(), drive_bias.tolist()
+        white_rows, presence_rows = drive_white.tolist(), presence_hours.tolist()
+        self._buses = [
+            _BusTables(
+                bus_id=bus.id,
+                capacity_kwh=bus.capacity_kwh,
+                drive_kwh=kwh_rows[j],
+                drive_bias_kwh=bias_rows[j],
+                drive_white_kwh=white_rows[j],
+                presence_hours=presence_rows[j],
+                visits=visit_of_step[j],
+                charge_params={
+                    ct.id: charging_params(bus, ct) for ct in scenario.charger_types
+                },
+                levels=self.soc_series[j],
+                gains=self.charge_gain_kwh[j],
+                types=self.charge_type[j],
+            )
+            for j, bus in enumerate(scenario.buses)
+        ]
+        # per charger type: bias kW, white sigma, standard white draws
+        self._type_terms: Dict[str, Tuple[float, float, List[float]]] = {
+            ct.id: (
+                noise.beta_charge_kw[ct.id],
+                params.charge_white_for(ct),
+                noise.white_charge[ti].tolist(),
+            )
+            for ti, ct in enumerate(scenario.charger_types)
+        }
 
     # -- geometry queries ---------------------------------------------------
 
@@ -317,10 +372,10 @@ class TruthEnvironment:
         return self.t0_min + TRUTH_DELTA_MIN * np.arange(self.n_steps + 1)
 
     def presence_hours(self, bus_id: str, k: int) -> float:
-        return float(self._presence_hours[self._j(bus_id), k])
+        return self._buses[self._bus_index[bus_id]].presence_hours[k]
 
     def visit_at(self, bus_id: str, k: int) -> Optional["_VisitSpan"]:
-        return self._visit_of_step[self._j(bus_id)][k]
+        return self._buses[self._bus_index[bus_id]].visits[k]
 
     def bus(self, bus_id: str) -> "Bus":
         return self._bus_by_id[bus_id]
@@ -328,70 +383,87 @@ class TruthEnvironment:
     def charger(self, type_id: str) -> ChargerType:
         return self._charger_by_id[type_id]
 
-    def _j(self, bus_id: str) -> int:
-        return self.bus_ids.index(bus_id)
-
     # -- dynamics -----------------------------------------------------------
 
     def advance(
         self, commands: Mapping[str, Tuple[str, float]]
     ) -> Dict[str, float]:
         """Advance one truth minute; returns realized charge kWh per bus."""
-        if self.done:
+        return self._run_minutes((commands,))
+
+    def _run_minutes(
+        self, table: Sequence[Mapping[str, Tuple[str, float]]]
+    ) -> Dict[str, float]:
+        """Advance ``len(table)`` minutes, minute ``minute_index + i`` under
+        the commands ``table[i]``; returns the realized charge kWh per bus
+        in the last of them.
+
+        Buses interact only through the meter, which every minute adds up
+        in bus order whichever loop is outside, so each bus runs the whole
+        table in turn.
+        """
+        k0 = self._k
+        last = k0 + len(table) - 1
+        if last >= self.n_steps:
             raise RuntimeError("day already finished")
-        k = self._k
+        exact = simulate_exact
+        meter = self.meter_kwh
+        type_terms = self._type_terms
         realized: Dict[str, float] = {}
-        for j, bus_id in enumerate(self.bus_ids):
-            bus = self._bus_by_id[bus_id]
-            cap = bus.capacity_kwh
+        for (
+            bus_id,
+            cap,
+            drive_kwh,
+            drive_bias,
+            drive_white,
+            presence,
+            visits,
+            charge_params,
+            levels,
+            gains,
+            types,
+        ) in self._buses:
             soc = self.soc[bus_id]
-
-            drive_min = self._drive_minutes[j, k]
-            if drive_min > 0:
-                dt_s = drive_min * 60.0
-                soc = (
-                    soc
-                    - self._drive_kwh[j, k]
-                    + self.noise.beta_discharge_kw[bus_id] * (drive_min / 60.0)
-                    + self.params.discharge_white_kwh_per_sqrt_s
-                    * math.sqrt(dt_s)
-                    * self.noise.white_discharge[j, k]
-                )
-                soc = min(max(soc, 0.0), cap)
-
-            cmd = commands.get(bus_id)
-            if cmd is not None:
-                tid, power_kw = cmd
-                span = self._visit_of_step[j][k]
-                pres_h = self._presence_hours[j, k]
-                if (
-                    span is not None
-                    and pres_h > 0
-                    and tid in span.charger_type_ids
-                ):
-                    cp = self._charge_params[(bus_id, tid)]
-                    attainable = simulate_exact(cp, soc, pres_h) - soc
-                    base = min(power_kw * pres_h, attainable)
-                    ti = self._type_index[tid]
-                    charger = self._charger_by_id[tid]
-                    delta = (
-                        base
-                        + self.noise.beta_charge_kw[tid] * pres_h
-                        + self.params.charge_white_for(charger)
-                        * math.sqrt(pres_h * 3600.0)
-                        * self.noise.white_charge[ti, k]
-                    )
-                    new_soc = min(max(soc + delta, 0.0), cap)
-                    gained = new_soc - soc
-                    self.meter_kwh[k] += max(0.0, gained)
-                    self.charge_gain_kwh[j, k] = gained
-                    self.charge_type[j][k] = tid
-                    realized[bus_id] = gained
-                    soc = new_soc
-
+            for k, commands in enumerate(table, k0):
+                kwh = drive_kwh[k]
+                if kwh is not None:
+                    soc = soc - kwh + drive_bias[k] + drive_white[k]
+                    if soc < 0.0:
+                        soc = 0.0
+                    elif soc > cap:
+                        soc = cap
+                cmd = commands.get(bus_id)
+                if cmd is not None:
+                    tid, power_kw = cmd
+                    span = visits[k]
+                    pres_h = presence[k]
+                    if (
+                        span is not None
+                        and pres_h > 0
+                        and tid in span.charger_type_ids
+                    ):
+                        attainable = exact(charge_params[tid], soc, pres_h) - soc
+                        beta, sigma, white_row = type_terms[tid]
+                        delta = (
+                            min(power_kw * pres_h, attainable)
+                            + beta * pres_h
+                            + sigma * math.sqrt(pres_h * 3600.0) * white_row[k]
+                        )
+                        new_soc = soc + delta
+                        if new_soc < 0.0:
+                            new_soc = 0.0
+                        elif new_soc > cap:
+                            new_soc = cap
+                        gained = new_soc - soc
+                        meter[k] += max(0.0, gained)
+                        gains[k] = gained
+                        types[k] = tid
+                        if k == last:
+                            realized[bus_id] = gained
+                        soc = new_soc
+                levels[k + 1] = soc
             self.soc[bus_id] = soc
-            self.soc_series[j, k + 1] = soc
-        self._k += 1
+        self._k = last + 1
         return realized
 
 
@@ -404,6 +476,23 @@ class _VisitSpan:
     arrival_min: float
     end_min: float
     charger_type_ids: Tuple[str, ...]
+
+
+class _BusTables(NamedTuple):
+    """One bus's per-run tables, indexed by truth minute, and the rows of
+    the environment's outputs that the kernel writes for it."""
+
+    bus_id: str
+    capacity_kwh: float
+    drive_kwh: List[Optional[float]]  # None where the bus does not drive
+    drive_bias_kwh: List[float]
+    drive_white_kwh: List[float]
+    presence_hours: List[float]
+    visits: List[Optional[_VisitSpan]]
+    charge_params: Dict[str, ContinuousChargeParams]
+    levels: np.ndarray  # row of soc_series, from instant 0
+    gains: np.ndarray  # row of charge_gain_kwh
+    types: List[Optional[str]]  # row of charge_type
 
 
 # ---------------------------------------------------------------------------
@@ -568,29 +657,27 @@ class _OpenLoopController:
     that arrives late simply misses the front of its interval (the command
     falls on an absent bus and realizes nothing), and charging never extends
     past the planned stop, so a fully missed interval is dropped.
+
+    The plan is fixed, so the whole day's commands are known up front:
+    ``table`` holds one command mapping per remaining truth minute, the
+    mapping of the plan step that minute falls in (one dict per step, shared
+    by its minutes; an empty one outside the plan).
     """
 
     def __init__(self, env: TruthEnvironment, plan: ChargePlan) -> None:
-        self.env = env
-        self.plan = plan
-        self._by_bus_step: Dict[Tuple[str, int], Tuple[str, float]] = {}
+        by_step: Dict[int, Dict[str, Tuple[str, float]]] = {}
         delta_h = plan.delta_min / 60.0
         for bus_id, tid, k0, k1 in plan.intervals:
-            for kp in range(k0, k1):
+            for kp in range(max(k0, 0), min(k1, plan.n_steps)):
                 gain = plan.gains.get((bus_id, kp, tid), 0.0)
-                self._by_bus_step[(bus_id, kp)] = (tid, gain / delta_h)
-
-    def commands(self) -> Dict[str, Tuple[str, float]]:
-        t = self.env.t0_min + self.env.minute_index * TRUTH_DELTA_MIN
-        kp = int(math.floor((t - self.plan.t0_min) / self.plan.delta_min + 1e-9))
-        if not 0 <= kp < self.plan.n_steps:
-            return {}
-        out: Dict[str, Tuple[str, float]] = {}
-        for bus_id in self.env.bus_ids:
-            cmd = self._by_bus_step.get((bus_id, kp))
-            if cmd is not None:
-                out[bus_id] = cmd
-        return out
+                by_step.setdefault(kp, {})[bus_id] = (tid, gain / delta_h)
+        k = np.arange(env.minute_index, env.n_steps)
+        minutes = env.t0_min + k * TRUTH_DELTA_MIN
+        steps = np.floor((minutes - plan.t0_min) / plan.delta_min + 1e-9)
+        idle: Dict[str, Tuple[str, float]] = {}
+        self.table: List[Mapping[str, Tuple[str, float]]] = [
+            by_step.get(kp, idle) for kp in steps.astype(int).tolist()
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -667,9 +754,7 @@ def strategy_qin(
 
 def strategy_open_loop(env: TruthEnvironment, reference: ChargePlan) -> SimRun:
     """Replay a reference plan open loop against the truth environment."""
-    controller = _OpenLoopController(env, reference)
-    while not env.done:
-        env.advance(controller.commands())
+    env._run_minutes(_OpenLoopController(env, reference).table)
     return _finalize_run(env, "open_loop")
 
 

@@ -1,5 +1,6 @@
 """Truth-model, strategy, billing-oracle, and Monte-Carlo tests."""
 
+import dataclasses
 import json
 import math
 
@@ -9,21 +10,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bebcharge.charge_model import simulate_exact
-from bebcharge.milp import window_averages
+from bebcharge.milp import ChargePlan, window_averages
 from bebcharge.scenario import (
     ChargerType,
+    GeneratorBounds,
     RateSchedule,
     Scenario,
     ScheduleBlock,
+    _step_count,
     charging_params,
     discretize,
+    generate_random_scenario,
+    step_overlap_minutes,
 )
 from bebcharge.simulation import (
+    TRUTH_DELTA_MIN,
     MCReport,
     NoiseParams,
     RunNoise,
     SimRun,
     TruthEnvironment,
+    _finalize_run,
+    _VisitSpan,
     billing_oracle,
     monte_carlo,
     multi_day,
@@ -432,6 +440,327 @@ def test_truth_levels_follow_charge_minus_drive(scenario_seed, noise_seed, comma
     load = discretize(scenario, 1.0).load_kwh
     positive = np.maximum(env.charge_gain_kwh, 0.0).sum(axis=0)
     np.testing.assert_allclose(env.meter_kwh, load + positive, rtol=0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the tabulated minute kernel against the per-minute reference
+
+
+class ReferenceEnvironment:
+    """The truth model as one minute at a time, bus by bus, reading the
+    geometry arrays and the noise record directly.  The kernel in
+    ``TruthEnvironment`` must reproduce it byte for byte."""
+
+    def __init__(self, scenario, noise, params):
+        self.scenario = scenario
+        self.noise = noise
+        self.params = params
+        self.instance = discretize(scenario, TRUTH_DELTA_MIN)
+        self.n_steps = self.instance.n_steps
+        self.t0_min = self.instance.t0_min
+        self.bus_ids = [b.id for b in scenario.buses]
+        self._bus_by_id = {b.id: b for b in scenario.buses}
+        self._type_index = {ct.id: i for i, ct in enumerate(scenario.charger_types)}
+        self._charger_by_id = {ct.id: ct for ct in scenario.charger_types}
+        self._charge_params = {
+            (bus.id, ct.id): charging_params(bus, ct)
+            for bus in scenario.buses
+            for ct in scenario.charger_types
+        }
+        self.arrivals = perturb_arrivals(scenario, noise.arrival_shift_s)
+
+        n_b, n_s = len(self.bus_ids), self.n_steps
+        starts = self.t0_min + TRUTH_DELTA_MIN * np.arange(n_s)
+        self._drive_kwh = np.zeros((n_b, n_s))
+        self._drive_minutes = np.zeros((n_b, n_s))
+        self._presence_hours = np.zeros((n_b, n_s))
+        self._visit_of_step = [[None] * n_s for _ in range(n_b)]
+        for j, bus in enumerate(scenario.buses):
+            for bi, block in enumerate(bus.schedule):
+                if block.kind == "on_route":
+                    end = float(block.end_min)
+                    nxt = bi + 1
+                    if nxt < len(bus.schedule) and bus.schedule[nxt].kind == "in_station":
+                        end = self.arrivals[f"{bus.id}:v{nxt}"]
+                    ov = step_overlap_minutes(starts, TRUTH_DELTA_MIN, block.start_min, end)
+                    self._drive_minutes[j] += ov
+                    self._drive_kwh[j] += block.route_power_kw * ov / 60.0
+                elif block.kind == "in_station":
+                    vid = f"{bus.id}:v{bi}"
+                    span = _VisitSpan(
+                        id=vid,
+                        bus_id=bus.id,
+                        arrival_min=self.arrivals[vid],
+                        end_min=float(block.end_min),
+                        charger_type_ids=tuple(block.charger_type_ids),
+                    )
+                    ov = step_overlap_minutes(
+                        starts, TRUTH_DELTA_MIN, span.arrival_min, span.end_min
+                    )
+                    self._presence_hours[j] += ov / 60.0
+                    for k in np.nonzero(ov > 0)[0]:
+                        self._visit_of_step[j][int(k)] = span
+
+        self.soc = {b.id: b.initial_soc * b.capacity_kwh for b in scenario.buses}
+        self.soc_series = np.zeros((n_b, n_s + 1))
+        self.soc_series[:, 0] = [self.soc[b] for b in self.bus_ids]
+        self.meter_kwh = self.instance.load_kwh.copy()
+        self.charge_gain_kwh = np.zeros((n_b, n_s))
+        self.charge_type = [[None] * n_s for _ in range(n_b)]
+        self._k = 0
+
+    @property
+    def minute_index(self):
+        return self._k
+
+    @property
+    def done(self):
+        return self._k >= self.n_steps
+
+    def presence_hours(self, bus_id, k):
+        return float(self._presence_hours[self.bus_ids.index(bus_id), k])
+
+    def visit_at(self, bus_id, k):
+        return self._visit_of_step[self.bus_ids.index(bus_id)][k]
+
+    def bus(self, bus_id):
+        return self._bus_by_id[bus_id]
+
+    def charger(self, type_id):
+        return self._charger_by_id[type_id]
+
+    def advance(self, commands):
+        if self.done:
+            raise RuntimeError("day already finished")
+        k = self._k
+        realized = {}
+        for j, bus_id in enumerate(self.bus_ids):
+            bus = self._bus_by_id[bus_id]
+            cap = bus.capacity_kwh
+            soc = self.soc[bus_id]
+
+            drive_min = self._drive_minutes[j, k]
+            if drive_min > 0:
+                dt_s = drive_min * 60.0
+                soc = (
+                    soc
+                    - self._drive_kwh[j, k]
+                    + self.noise.beta_discharge_kw[bus_id] * (drive_min / 60.0)
+                    + self.params.discharge_white_kwh_per_sqrt_s
+                    * math.sqrt(dt_s)
+                    * self.noise.white_discharge[j, k]
+                )
+                soc = min(max(soc, 0.0), cap)
+
+            cmd = commands.get(bus_id)
+            if cmd is not None:
+                tid, power_kw = cmd
+                span = self._visit_of_step[j][k]
+                pres_h = self._presence_hours[j, k]
+                if span is not None and pres_h > 0 and tid in span.charger_type_ids:
+                    cp = self._charge_params[(bus_id, tid)]
+                    attainable = simulate_exact(cp, soc, pres_h) - soc
+                    base = min(power_kw * pres_h, attainable)
+                    ti = self._type_index[tid]
+                    charger = self._charger_by_id[tid]
+                    delta = (
+                        base
+                        + self.noise.beta_charge_kw[tid] * pres_h
+                        + self.params.charge_white_for(charger)
+                        * math.sqrt(pres_h * 3600.0)
+                        * self.noise.white_charge[ti, k]
+                    )
+                    new_soc = min(max(soc + delta, 0.0), cap)
+                    gained = new_soc - soc
+                    self.meter_kwh[k] += max(0.0, gained)
+                    self.charge_gain_kwh[j, k] = gained
+                    self.charge_type[j][k] = tid
+                    realized[bus_id] = gained
+                    soc = new_soc
+
+            self.soc[bus_id] = soc
+            self.soc_series[j, k + 1] = soc
+        self._k += 1
+        return realized
+
+
+def reference_open_loop(env, plan):
+    """Replay ``plan`` minute by minute, looking each minute's plan step up."""
+    by_bus_step = {}
+    delta_h = plan.delta_min / 60.0
+    for bus_id, tid, k0, k1 in plan.intervals:
+        for kp in range(k0, k1):
+            gain = plan.gains.get((bus_id, kp, tid), 0.0)
+            by_bus_step[(bus_id, kp)] = (tid, gain / delta_h)
+    while not env.done:
+        t = env.t0_min + env.minute_index * TRUTH_DELTA_MIN
+        kp = int(math.floor((t - plan.t0_min) / plan.delta_min + 1e-9))
+        commands = {}
+        if 0 <= kp < plan.n_steps:
+            for bus_id in env.bus_ids:
+                cmd = by_bus_step.get((bus_id, kp))
+                if cmd is not None:
+                    commands[bus_id] = cmd
+        env.advance(commands)
+    return _finalize_run(env, "open_loop")
+
+
+def bits(x):
+    """A float's exact bit pattern (so -0.0 and 0.0 differ)."""
+    return float(x).hex()
+
+
+def assert_same_run(got, want):
+    for name in ("soc_series", "meter_kwh", "charge_gain_kwh"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.charge_type == want.charge_type
+    assert {k: bits(v) for k, v in got.cost_breakdown.items()} == {
+        k: bits(v) for k, v in want.cost_breakdown.items()
+    }
+
+
+def drawn_day(source, seed):
+    """A ``mini_scenario`` day, or a generated full day of 1-3 buses."""
+    if source == "mini":
+        return mini_scenario(seed)
+    return generate_random_scenario(seed, GeneratorBounds(n_buses=1 + seed % 3))
+
+
+def both_environments(scenario, params, noise_seed):
+    n = _step_count(scenario.day_start_min, scenario.day_end_min, TRUTH_DELTA_MIN)
+    noise = sample_run_noise(scenario, params, noise_seed, n)
+    return (
+        TruthEnvironment(scenario, noise, params),
+        ReferenceEnvironment(scenario, noise, params),
+    )
+
+
+def noise_params(kind):
+    return {"default": NoiseParams(), "zero": NoiseParams.zero()}[kind]
+
+
+day_sources = st.sampled_from(["mini", "generated"])
+noise_kinds = st.sampled_from(["default", "default", "zero"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=day_sources,
+    scenario_seed=st.integers(0, 10_000),
+    noise_seed=st.integers(0, 2**32 - 1),
+    kind=noise_kinds,
+)
+def test_kernel_matches_reference_qin(source, scenario_seed, noise_seed, kind):
+    scenario = drawn_day(source, scenario_seed)
+    env, ref = both_environments(scenario, noise_params(kind), noise_seed)
+    assert_same_run(strategy_qin(env), strategy_qin(ref))
+
+
+def synthetic_plan(scenario, delta_min, rng):
+    """A random plan on a ``delta_min`` grid: intervals may overlap (the
+    later one wins), name a charger type the visit does not list or a bus
+    the day does not have, and start off the day's first minute."""
+    t0 = scenario.day_start_min + float(rng.choice([0.0, 0.0, 2.0, -delta_min]))
+    n_steps = int((scenario.day_end_min - t0) // delta_min)
+    bus_ids = [b.id for b in scenario.buses] + ["ghost"]
+    type_ids = [ct.id for ct in scenario.charger_types] + ["unlisted"]
+    intervals, gains = [], {}
+    for _ in range(int(rng.integers(1, 4 * len(scenario.buses) + 2))):
+        bus_id = bus_ids[int(rng.integers(len(bus_ids)))]
+        tid = type_ids[int(rng.integers(len(type_ids)))]
+        k0 = int(rng.integers(0, n_steps))
+        k1 = int(rng.integers(k0 + 1, n_steps + 1))
+        intervals.append((bus_id, tid, k0, k1))
+        for kp in range(k0, k1):
+            if rng.random() < 0.9:
+                gains[(bus_id, kp, tid)] = float(rng.uniform(0.0, 12.0))
+    return ChargePlan(
+        t0_min=t0,
+        delta_min=delta_min,
+        n_steps=n_steps,
+        intervals=tuple(intervals),
+        gains=gains,
+        soc={},
+        step_energy=np.zeros(n_steps),
+        objective_value=0.0,
+        cost_breakdown={},
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=day_sources,
+    scenario_seed=st.integers(0, 10_000),
+    noise_seed=st.integers(0, 2**32 - 1),
+    kind=noise_kinds,
+    delta_min=st.sampled_from([5.0, 3.0]),
+    solved=st.booleans(),
+    plan_seed=st.integers(0, 2**32 - 1),
+)
+def test_kernel_matches_reference_open_loop(
+    source, scenario_seed, noise_seed, kind, delta_min, solved, plan_seed
+):
+    # solved plans only for the short mini days; every day also gets
+    # random plans
+    scenario = drawn_day(source, scenario_seed)
+    plan = None
+    if solved and source == "mini":
+        plan, _ = nominal_plan(scenario, delta_min)
+    if plan is None:
+        plan = synthetic_plan(scenario, delta_min, np.random.default_rng(plan_seed))
+    env, ref = both_environments(scenario, noise_params(kind), noise_seed)
+    assert_same_run(strategy_open_loop(env, plan), reference_open_loop(ref, plan))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scenario_seed=st.integers(0, 10_000),
+    noise_seed=st.integers(0, 2**32 - 1),
+    command_seed=st.integers(0, 2**32 - 1),
+    extreme=st.sampled_from([None, -1.0, 1.0]),
+)
+def test_kernel_matches_reference_advance(scenario_seed, noise_seed, command_seed, extreme):
+    # raw command streams: buses on the road, types the visit does not
+    # list, unknown buses, zero and unbounded power; extreme biases push
+    # driving buses into one clamp and charging buses into the other
+    scenario = mini_scenario(scenario_seed)
+    params = NoiseParams()
+    n = _step_count(scenario.day_start_min, scenario.day_end_min, TRUTH_DELTA_MIN)
+    noise = sample_run_noise(scenario, params, noise_seed, n)
+    if extreme is not None:
+        noise = dataclasses.replace(
+            noise,
+            beta_discharge_kw={b.id: 3000.0 * extreme for b in scenario.buses},
+            beta_charge_kw={ct.id: -20000.0 * extreme for ct in scenario.charger_types},
+        )
+    env = TruthEnvironment(scenario, noise, params)
+    ref = ReferenceEnvironment(scenario, noise, params)
+    rng = np.random.default_rng(command_seed)
+    bus_ids = [b.id for b in scenario.buses] + ["ghost"]
+    type_ids = [ct.id for ct in scenario.charger_types] + ["unlisted"]
+    while not ref.done:
+        commands = {}
+        for bus_id in bus_ids:
+            if rng.random() < 0.7:
+                power = [0.0, math.inf, float(rng.uniform(0.0, 200.0))][int(rng.integers(3))]
+                commands[bus_id] = (type_ids[int(rng.integers(len(type_ids)))], power)
+        got, want = env.advance(commands), ref.advance(commands)
+        assert {b: bits(v) for b, v in got.items()} == {b: bits(v) for b, v in want.items()}
+        assert list(got) == list(want)
+        assert {b: bits(v) for b, v in env.soc.items()} == {
+            b: bits(v) for b, v in ref.soc.items()
+        }
+        assert env.minute_index == ref.minute_index
+    with pytest.raises(RuntimeError):
+        env.advance({})
+    for name in ("soc_series", "meter_kwh", "charge_gain_kwh"):
+        assert getattr(env, name).tobytes() == getattr(ref, name).tobytes(), name
+    assert env.charge_type == ref.charge_type
+    if extreme is not None:
+        caps = np.array([b.capacity_kwh for b in scenario.buses]).reshape(-1, 1)
+        assert (ref.soc_series == 0.0).any() and (ref.soc_series == caps).any()
 
 
 # ---------------------------------------------------------------------------
