@@ -45,6 +45,7 @@ __all__ = [
     "VisitGroup",
     "ActionGraph",
     "build_action_graph",
+    "incidence_entries",
     "incidence_matrix",
     "flow_rhs",
     "close_edges",
@@ -148,20 +149,28 @@ class ActionGraph:
                 yield g.edge_offset + i, g, e
 
     def edge_capacities(self) -> np.ndarray:
-        return np.array([e.capacity for _, _, e in self.iter_edges()], dtype=float)
+        return np.fromiter(
+            (e.capacity for g in self.subgraphs for e in g.edges), dtype=float, count=self.n_edges
+        )
+
+
+def incidence_entries(subgraph: SubGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The incidence matrix's entries as (vertex, edge, value) arrays, vertex
+    by vertex and by edge within a vertex: +1 at each edge's begin vertex,
+    -1 at its end vertex."""
+    n = subgraph.n_edges
+    tail = np.fromiter((e.tail for e in subgraph.edges), dtype=np.int64, count=n)
+    head = np.fromiter((e.head for e in subgraph.edges), dtype=np.int64, count=n)
+    rows = np.concatenate((tail, head))
+    cols = np.tile(np.arange(n), 2)
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], np.repeat([1.0, -1.0], n)[order]
 
 
 def incidence_matrix(subgraph: SubGraph) -> sp.csc_matrix:
     """Vertex/edge incidence matrix: column j has +1 at the edge's begin vertex
     and -1 at its end vertex."""
-    rows, cols, vals = [], [], []
-    for j, e in enumerate(subgraph.edges):
-        rows.append(e.tail)
-        cols.append(j)
-        vals.append(1.0)
-        rows.append(e.head)
-        cols.append(j)
-        vals.append(-1.0)
+    rows, cols, vals = incidence_entries(subgraph)
     return sp.csc_matrix(
         (vals, (rows, cols)), shape=(subgraph.n_vertices, subgraph.n_edges)
     )

@@ -29,12 +29,15 @@ billing windows continuous across horizon boundaries: windows reaching before
 step 0 draw constants from the history instead of silently truncating.
 
 A model is stored in one form, built once: the rows as a CSR matrix ``A``
-with row bounds ``row_lo <= A x <= row_hi``, row names and families, and the
-columns as read-only arrays ``c``, ``lb``, ``ub`` and an integrality mask.
-The solver, the residual report and the appending helpers
-(:func:`add_terminal_cost`, :func:`lock_charged_visits`) work on those
-arrays; ``MilpModel.variables`` and ``MilpModel.constraints`` are per-column
-and per-row views of them for LP export and inspection.
+with row bounds ``row_lo <= A x <= row_hi`` and row families, and the
+columns as read-only arrays ``c``, ``lb``, ``ub``, an integrality mask and a
+role code.  Each family is built whole, from index arrays, as (row, column,
+value) entries plus row bounds, and all of them go into ``A`` in one step.
+Names are made only when asked for: row names, column tags and the
+``MilpModel.variables`` / ``MilpModel.constraints`` views (for LP export and
+inspection) are built on first use.  The solver, the residual report, plan
+extraction, warm starts and the appending helpers (:func:`add_terminal_cost`,
+:func:`lock_charged_visits`) work on the arrays alone.
 """
 
 from __future__ import annotations
@@ -44,13 +47,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 
 from .charge_model import DiscreteChargeParams, discretize_params
-from .graph import ActionGraph
+from .graph import ActionGraph, flow_rhs, incidence_entries
 from .scenario import DiscreteInstance, charging_params
 
 __all__ = [
@@ -59,6 +62,7 @@ __all__ = [
     "ModelOptions",
     "MilpModel",
     "ChargePlan",
+    "COLUMN_ROLES",
     "build_static_model",
     "add_terminal_cost",
     "lock_charged_visits",
@@ -68,6 +72,11 @@ __all__ = [
     "save_plan_csv",
     "save_plan_summary",
 ]
+
+COLUMN_ROLES = (
+    "flow", "soc", "gain", "energy", "window_power", "peak", "peak_tou",
+    "soc_slack", "terminal_err",
+)
 
 
 @dataclass(frozen=True)
@@ -120,32 +129,40 @@ class ModelOptions:
     soft_min_weight: float = 0.0
 
 
+ColumnTag = Tuple[str, str, Optional[str], Optional[int], Optional[str]]
+
+
 @dataclass(frozen=True, eq=False)
 class MilpModel:
     """An assembled model in its stored form plus the index maps needed to
     read solutions back.
 
-    Columns are the arrays ``c``, ``lb``, ``ub`` and the integrality mask
-    ``integer``; ``columns`` holds each one's (name, role, bus, step,
-    charger type).  Rows are ``row_lo <= A x <= row_hi`` with ``A`` in CSR,
-    each row's entries in assembly order: an equality row has equal bounds,
-    a one-sided row an infinite other bound.  ``row_names`` and
-    ``row_family`` (an index into ``families``) label the rows.  Every array
-    is read-only; ``variables`` and ``constraints`` are views built on first
-    use.
+    Columns are the arrays ``c``, ``lb``, ``ub``, the integrality mask
+    ``integer`` and ``role``, each column's index into
+    :data:`COLUMN_ROLES`.  Rows are ``row_lo <= A x <= row_hi`` with ``A``
+    in CSR, each row's entries in assembly order: an equality row has equal
+    bounds, a one-sided row an infinite other bound.  ``row_family`` (an
+    index into ``families``) labels the rows.  Every array is read-only.
+
+    Names are made on first use.  ``columns`` holds each column's (name,
+    role, bus, step, charger type) and ``row_names`` each row's name; each
+    assembled block contributes one function to ``column_labels`` or
+    ``row_labels`` that returns its share of them in order.  ``variables``
+    and ``constraints`` are views built on those.
     """
 
     c: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     integer: np.ndarray
-    columns: Tuple[Tuple[str, str, Optional[str], Optional[int], Optional[str]], ...]
+    role: np.ndarray
     A: sp.csr_matrix
     row_lo: np.ndarray
     row_hi: np.ndarray
-    row_names: Tuple[str, ...]
     row_family: np.ndarray
     families: Tuple[str, ...]
+    column_labels: Tuple[Callable[[], List[ColumnTag]], ...]
+    row_labels: Tuple[Callable[[], List[str]], ...]
     graph: ActionGraph
     options: ModelOptions
     x_of: Dict[int, int]
@@ -171,6 +188,14 @@ class MilpModel:
     @property
     def n_constraints(self) -> int:
         return self.A.shape[0]
+
+    @cached_property
+    def columns(self) -> Tuple[ColumnTag, ...]:
+        return tuple(tag for labels in self.column_labels for tag in labels())
+
+    @cached_property
+    def row_names(self) -> Tuple[str, ...]:
+        return tuple(name for labels in self.row_labels for name in labels())
 
     @cached_property
     def variables(self) -> Tuple[Variable, ...]:
@@ -210,10 +235,14 @@ class MilpModel:
     def integer_indices(self) -> np.ndarray:
         return self._integer_indices
 
+    def columns_of(self, *roles: str) -> np.ndarray:
+        """Indices of the columns with any of these roles, ascending."""
+        return np.flatnonzero(np.isin(self.role, [COLUMN_ROLES.index(r) for r in roles]))
+
     def extended(self, appended: "_Assembly", **index_updates) -> "MilpModel":
         """Copy of the model with ``appended``'s rows and columns added
         after its own (never mutated)."""
-        return dataclasses.replace(self, **appended.arrays(self), **index_updates)
+        return dataclasses.replace(self, **appended.fields(), **index_updates)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -221,75 +250,154 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _ragged(lengths) -> np.ndarray:
+    """Row index of every entry of consecutive rows with these entry counts."""
+    return np.repeat(np.arange(len(lengths)), lengths)
+
+
+def _bounds(sense: str, rhs) -> Tuple[np.ndarray, np.ndarray]:
+    """Row bounds ``(lo, hi)`` of one-sense rows with right-hand sides ``rhs``."""
+    rhs = np.asarray(rhs, dtype=float)
+    inf = np.full(rhs.shape, math.inf)
+    if sense == "==":
+        return rhs, rhs
+    return (-inf, rhs) if sense == "<=" else (rhs, inf)
+
+
 class _Assembly:
-    """Columns and rows to add to a model's stored form, in order."""
+    """Column and row blocks to add to a model's stored form, in order.
+
+    A column block is n columns of one role.  A row block is n rows given by
+    their bounds and a list of entry parts ``(row, column, value)``, with the
+    row counted within the block and scalars broadcast; each row's entries
+    keep the order of the parts.  A block of several families names them in
+    a tuple and gives each row's position in it as ``kind``.  Every block
+    carries a labeler, a function returning its column tags or row names,
+    which runs only when names are asked for.
+    """
 
     def __init__(self, base: Optional[MilpModel] = None):
-        self.first_col = base.n_variables if base is not None else 0
+        self.base = base
+        self.n_cols = base.n_variables if base is not None else 0
+        self.n_rows = base.n_constraints if base is not None else 0
         self.families: List[str] = list(base.families) if base is not None else []
-        self.cols: List[Tuple] = []  # (obj, lb, ub, is_integer, column tags)
-        self.rows: List[Tuple] = []  # (name, family index, lo, hi)
-        self.indptr: List[int] = [0]
-        self.indices: List[int] = []
-        self.data: List[float] = []
+        self.col_blocks: List[Tuple[np.ndarray, ...]] = []  # c, lb, ub, integer, role
+        self.row_blocks: List[Tuple[np.ndarray, ...]] = []  # family, lo, hi
+        self.entries: Tuple[List[np.ndarray], ...] = ([], [], [])  # row, col, value
+        self.column_labels: List[Callable[[], List[ColumnTag]]] = []
+        self.row_labels: List[Callable[[], List[str]]] = []
 
-    def col(self, name: str, lb: float, ub: float, obj: float, role: str,
-            is_integer: bool = False, bus_id: Optional[str] = None,
-            k: Optional[int] = None, tid: Optional[str] = None) -> int:
-        self.cols.append((obj, lb, ub, is_integer, (name, role, bus_id, k, tid)))
-        return self.first_col + len(self.cols) - 1
+    def cols(self, n: int, lb, ub, obj, role: str,
+             labels: Callable[[], List[ColumnTag]], integer: bool = False) -> np.ndarray:
+        """Append ``n`` columns; returns their indices."""
+        self.col_blocks.append((
+            _fill(obj, n, float), _fill(lb, n, float), _fill(ub, n, float),
+            _fill(integer, n, bool), _fill(COLUMN_ROLES.index(role), n, np.int8),
+        ))
+        self.column_labels.append(labels)
+        self.n_cols += n
+        return np.arange(self.n_cols - n, self.n_cols)
 
-    def row(self, name: str, family: str, coeffs: Iterable[Tuple[int, float]],
-            sense: str, rhs: float) -> None:
-        if family not in self.families:
-            self.families.append(family)
-        rhs = float(rhs)
-        lo = -math.inf if sense == "<=" else rhs
-        hi = math.inf if sense == ">=" else rhs
-        self.rows.append((name, self.families.index(family), lo, hi))
-        for i, coef in coeffs:
-            self.indices.append(i)
-            self.data.append(coef)
-        self.indptr.append(len(self.indices))
+    def rows(self, family, lo: np.ndarray, hi: np.ndarray,
+             parts: Sequence[Tuple], labels: Callable[[], List[str]],
+             kind: Optional[np.ndarray] = None) -> None:
+        """Append ``len(lo)`` rows with entries from ``parts``."""
+        names = (family,) if isinstance(family, str) else tuple(family)
+        kind = np.zeros(len(lo), dtype=np.int64) if kind is None else kind
+        for i, name in enumerate(names):
+            if name not in self.families and (kind == i).any():
+                self.families.append(name)
+        fam = np.array([self.families.index(f) if f in self.families else -1 for f in names])
+        self.row_blocks.append((fam[kind], lo, hi))
+        for r, c, v in parts:
+            r = np.asarray(r, dtype=np.int64)
+            self.entries[0].append(r + self.n_rows)
+            self.entries[1].append(_fill(c, len(r), np.int64))
+            self.entries[2].append(_fill(v, len(r), float))
+        self.row_labels.append(labels)
+        self.n_rows += len(lo)
 
-    def arrays(self, base: Optional[MilpModel] = None) -> Dict:
-        """The stored-form fields of ``base`` (or of an empty model) with
-        this assembly appended."""
-        obj, lb, ub, integer, tags = zip(*self.cols) if self.cols else ((),) * 5
-        names, fam, lo, hi = zip(*self.rows) if self.rows else ((),) * 4
+    def fields(self) -> Dict:
+        """The stored-form fields of the base model (or of an empty one) with
+        these blocks appended."""
+        base = self.base
+
+        def grown(attr, blocks, i, dtype=float):
+            if base is not None and not blocks:
+                return getattr(base, attr)  # read-only, so shared
+            old = [getattr(base, attr)] if base is not None else []
+            return _frozen(_concat(old + [b[i] for b in blocks], dtype))
+
         A0 = base.A if base is not None else sp.csr_matrix((0, 0))
-
-        def cat(old, new, dtype=float):
-            return np.concatenate([np.asarray(old, dtype), np.asarray(new, dtype)])
-
-        def grown(attr, new, dtype=float):
-            return _frozen(cat(getattr(base, attr) if base is not None else (), new, dtype))
-
+        row, col, val = (_concat(part, dtype) for part, dtype in zip(
+            self.entries, (np.int64, np.int64, float)))
+        order = np.argsort(row, kind="stable")
+        counts = np.bincount(row - A0.shape[0], minlength=self.n_rows - A0.shape[0])
         A = sp.csr_matrix(
-            (cat(A0.data, self.data),
-             cat(A0.indices, self.indices, np.int64),
-             cat(A0.indptr[:-1], np.add(self.indptr, A0.nnz), np.int64)),
-            shape=(A0.shape[0] + len(self.rows), self.first_col + len(self.cols)),
+            (_concat([A0.data, val[order]], float),
+             _concat([A0.indices, col[order]], np.int64),
+             _concat([A0.indptr, A0.nnz + np.cumsum(counts)], np.int64)),
+            shape=(self.n_rows, self.n_cols),
         )
         for arr in (A.data, A.indices, A.indptr):
             _frozen(arr)
         return dict(
-            c=grown("c", obj),
-            lb=grown("lb", lb),
-            ub=grown("ub", ub),
-            integer=grown("integer", integer, bool),
-            columns=(base.columns if base is not None else ()) + tags,
+            c=grown("c", self.col_blocks, 0),
+            lb=grown("lb", self.col_blocks, 1),
+            ub=grown("ub", self.col_blocks, 2),
+            integer=grown("integer", self.col_blocks, 3, bool),
+            role=grown("role", self.col_blocks, 4, np.int8),
             A=A,
-            row_lo=grown("row_lo", lo),
-            row_hi=grown("row_hi", hi),
-            row_names=(base.row_names if base is not None else ()) + names,
-            row_family=grown("row_family", fam, np.int64),
+            row_lo=grown("row_lo", self.row_blocks, 1),
+            row_hi=grown("row_hi", self.row_blocks, 2),
+            row_family=grown("row_family", self.row_blocks, 0, np.int64),
             families=tuple(self.families),
+            column_labels=(base.column_labels if base is not None else ())
+            + tuple(self.column_labels),
+            row_labels=(base.row_labels if base is not None else ()) + tuple(self.row_labels),
         )
+
+
+def _fill(v, n: int, dtype) -> np.ndarray:
+    """``v`` as an array of ``n`` entries, a scalar repeated."""
+    return v.astype(dtype, copy=False) if isinstance(v, np.ndarray) else np.full(n, v, dtype)
+
+
+def _concat(arrays, dtype) -> np.ndarray:
+    arrays = [np.asarray(a, dtype=dtype) for a in arrays]
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype)
+
+
+# ---------------------------------------------------------------------------
+# names, made on first use
 
 
 def _lp_name(raw: str) -> str:
     return "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in raw)
+
+
+def _names(keys: Iterable[Tuple]) -> List[str]:
+    """LP names ``prefix_part_part...`` of ``(prefix, part, ...)`` keys: string
+    parts sanitized (each once per call), None parts left out."""
+    clean: Dict[object, str] = {}
+    out = []
+    for prefix, *parts in keys:
+        for part in parts:
+            if part is not None:
+                if part not in clean:
+                    clean[part] = _lp_name(part) if isinstance(part, str) else str(part)
+                prefix += "_" + clean[part]
+        out.append(prefix)
+    return out
+
+
+def _tags(role: str, keys: Sequence[Tuple]) -> List[ColumnTag]:
+    """Column tags of ``(prefix, bus, step, charger type)`` keys."""
+    return [(name, role, *key[1:]) for name, key in zip(_names(keys), keys)]
+
+
+# ---------------------------------------------------------------------------
+# assembly
 
 
 def pair_discrete_params(bus, charger, delta_hours: float) -> DiscreteChargeParams:
@@ -309,136 +417,177 @@ def _window_shape(window_minutes: float, delta_min: float) -> Tuple[int, float]:
 
 
 def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions()) -> MilpModel:
-    """Assemble the full scheduling model over the graph's discretized window."""
+    """Assemble the full scheduling model over the graph's discretized
+    window, one constraint family at a time."""
     inst = graph.instance
     scenario = inst.scenario
     rates = scenario.rates
     K = inst.n_steps
-    delta_h = inst.delta_hours
+    buses = scenario.buses
+    bus_ids = tuple(b.id for b in buses)
+    n_bus = len(buses)
     form = _Assembly()
 
     # --- flow variables, one per edge --------------------------------------
-    x_of: Dict[int, int] = {}
-    for gid, sub, e in graph.iter_edges():
-        x_of[gid] = form.col(
-            f"x{gid}", 0.0, float(e.capacity), float(graph.edge_costs[gid]), "flow",
-            is_integer=True, bus_id=e.bus_id, k=e.k_from, tid=sub.charger_type_id,
-        )
+    x = form.cols(
+        graph.n_edges, 0.0, graph.edge_capacities(), graph.edge_costs, "flow",
+        lambda: [(f"x{gid}", "flow", e.bus_id, e.k_from, sub.charger_type_id)
+                 for gid, sub, e in graph.iter_edges()],
+        integer=True,
+    )
+    x_of = dict(enumerate(x.tolist()))
 
-    # --- charge levels -------------------------------------------------------
+    # --- charge levels, bus by bus over instants 0..K -------------------------
     initial = options.initial_soc_kwh or {}
-    s_of: Dict[Tuple[str, int], int] = {}
-    for bus in scenario.buses:
+    band_lo = np.empty(n_bus)
+    s_lb = np.empty((n_bus, K + 1))
+    s_ub = np.empty((n_bus, K + 1))
+    for j, bus in enumerate(buses):
         cap = bus.capacity_kwh
         lo = (bus.min_soc + options.soc_buffer) * cap
         hi = (bus.max_soc - options.soc_buffer) * cap
         if hi <= lo:
             raise ValueError(f"bus {bus.id}: SOC buffer leaves an empty band")
-        soft_lo = 0.0 if options.soft_min_soc else lo
-        for k in range(K + 1):
-            vlb, vub = soft_lo, hi
-            if k == 0:
-                s0 = initial.get(bus.id, bus.initial_soc * cap)
-                vlb = vub = s0
-            elif k == K and options.enforce_final_soc:
-                vlb = vub = bus.final_soc * cap
-            s_of[(bus.id, k)] = form.col(
-                f"s_{_lp_name(bus.id)}_{k}", vlb, vub, 0.0, "soc", bus_id=bus.id, k=k
-            )
+        band_lo[j] = lo
+        s_lb[j] = 0.0 if options.soft_min_soc else lo
+        s_ub[j] = hi
+        if options.enforce_final_soc:
+            s_lb[j, K] = s_ub[j, K] = bus.final_soc * cap
+        s_lb[j, 0] = s_ub[j, 0] = initial.get(bus.id, bus.initial_soc * cap)
+    s = form.cols(
+        n_bus * (K + 1), s_lb.ravel(), s_ub.ravel(), 0.0, "soc",
+        lambda: _tags("soc", [("s", b, k, None) for b in bus_ids for k in range(K + 1)]),
+    ).reshape(n_bus, K + 1)
+    s_of = {(b, k): i for b, row in zip(bus_ids, s.tolist()) for k, i in enumerate(row)}
 
-    # --- gains ----------------------------------------------------------------
-    g_of: Dict[Tuple[str, int, str], int] = {}
-    for (bus_id, k, tid) in sorted(graph.sigma.keys(), key=lambda t: (t[0], t[1], t[2])):
-        g_of[(bus_id, k, tid)] = form.col(
-            f"g_{_lp_name(bus_id)}_{k}_{_lp_name(tid)}", 0.0, math.inf,
-            float(inst.step_rate[k]), "gain", bus_id=bus_id, k=k, tid=tid,
+    # --- gains, in (bus, step, charger type) order -----------------------------
+    g_keys = tuple(sorted(graph.sigma))
+    g_bus, g_k, g_tid = zip(*g_keys) if g_keys else ((), (), ())
+    g_k = np.array(g_k, dtype=np.int64)
+    g = form.cols(
+        len(g_keys), 0.0, math.inf, inst.step_rate[g_k], "gain",
+        lambda: _tags("gain", [("g", *key) for key in g_keys]),
+    )
+    g_of = dict(zip(g_keys, g.tolist()))
+
+    # --- meter energy, window power and the two peaks ---------------------------
+    e = form.cols(
+        K, 0.0, math.inf, 0.0, "energy",
+        lambda: _tags("energy", [("e", None, k, None) for k in range(K)]),
+    )
+    p = form.cols(
+        K + 1, 0.0, math.inf, 0.0, "window_power",
+        lambda: _tags("window_power", [("pD", None, k, None) for k in range(K + 1)]),
+    )
+    peak_idx = int(form.cols(
+        1, 0.0, math.inf, rates.demand_base_per_kw, "peak",
+        lambda: _tags("peak", [("p_max", None, None, None)]),
+    )[0])
+    peak_tou_idx = int(form.cols(
+        1, 0.0, math.inf, rates.demand_tou_per_kw, "peak_tou",
+        lambda: _tags("peak_tou", [("p_max_tou", None, None, None)]),
+    )[0])
+
+    # --- soft lower-bound slacks, bus by bus over instants 1..K ----------------------
+    if options.soft_min_soc:
+        slack = form.cols(
+            n_bus * K, 0.0, math.inf, options.soft_min_weight, "soc_slack",
+            lambda: _tags(
+                "soc_slack", [("zmin", b, k, None) for b in bus_ids for k in range(1, K + 1)]
+            ),
         )
 
-    # --- meter energy and window power ----------------------------------------
-    e_of = {k: form.col(f"e_{k}", 0.0, math.inf, 0.0, "energy", k=k) for k in range(K)}
-    p_of = {
-        k: form.col(f"pD_{k}", 0.0, math.inf, 0.0, "window_power", k=k)
-        for k in range(K + 1)
-    }
-    peak_idx = form.col("p_max", 0.0, math.inf, float(rates.demand_base_per_kw), "peak")
-    peak_tou_idx = form.col(
-        "p_max_tou", 0.0, math.inf, float(rates.demand_tou_per_kw), "peak_tou"
+    # --- flow balance, straight from each sub-graph's incidence matrix -------------
+    subs = graph.subgraphs
+    flow = [incidence_entries(sub) for sub in subs]
+    form.rows(
+        "flow", *_bounds("==", _concat(map(flow_rhs, subs), float)),
+        [(sub.vertex_offset + vertex, x[sub.edge_offset + edge], sign)
+         for sub, (vertex, edge, sign) in zip(subs, flow)],
+        lambda: _names(
+            ("flow", sub.charger_type_id, v) for sub in subs for v in range(sub.n_vertices)
+        ),
     )
 
-    # --- soft lower-bound slacks ----------------------------------------------
-    slack_of: Dict[Tuple[str, int], int] = {}
-    if options.soft_min_soc:
-        for bus in scenario.buses:
-            for k in range(1, K + 1):
-                slack_of[(bus.id, k)] = form.col(
-                    f"zmin_{_lp_name(bus.id)}_{k}", 0.0, math.inf,
-                    float(options.soft_min_weight), "soc_slack", bus_id=bus.id, k=k,
-                )
+    # --- one plug-in per visit -------------------------------------------------------
+    entering = [grp.entering_edges for grp in graph.groups]
+    form.rows(
+        "group", *_bounds("<=", np.ones(len(entering))),
+        [(_ragged([len(ids) for ids in entering]), x[_concat(entering, np.int64)], 1.0)],
+        lambda: _names(("group", grp.visit.id) for grp in graph.groups),
+    )
 
-    # --- flow balance ----------------------------------------------------------
-    from .graph import flow_rhs, incidence_matrix
+    # --- charge-level dynamics, row j*K + k for bus j and step k -----------------------
+    # a step's gains are those of the first visit covering it, in its type order
+    visits = inst.visits
+    bus_index = {b: j for j, b in enumerate(bus_ids)}
+    type_index = {ct.id: t for t, ct in enumerate(scenario.charger_types)}
+    visit_at = np.full((n_bus, K), len(visits))  # len(visits) stands for none
+    type_pos = np.full((len(visits) + 1, len(type_index)), -1)
+    for v_i in range(len(visits) - 1, -1, -1):
+        v = visits[v_i]
+        visit_at[bus_index[v.bus_id], max(v.k_start, 0):max(v.k_end, 0)] = v_i
+        for pos, tid in enumerate(v.charger_type_ids):
+            type_pos[v_i, type_index[tid]] = pos
+    g_j = np.array([bus_index[b] for b in g_bus], dtype=np.int64)
+    g_t = np.array([type_index[t] for t in g_tid], dtype=np.int64)
+    g_row = g_j * K + g_k
+    g_pos = type_pos[visit_at[g_j, g_k], g_t]
+    on = np.flatnonzero(g_pos >= 0)
+    on = on[np.lexsort((g_pos[on], g_row[on]))]
+    dyn = np.arange(n_bus * K)
+    charging = (type_pos[visit_at] >= 0).any(axis=2)
+    form.rows(
+        "dynamics", *_bounds("==", np.where(charging, 0.0, -inst.discharge_kwh).ravel()),
+        [(dyn, s[:, 1:].ravel(), 1.0), (dyn, s[:, :-1].ravel(), -1.0), (g_row[on], g[on], -1.0)],
+        lambda: _names(("dyn", b, k) for b in bus_ids for k in range(K)),
+    )
 
-    for sub in graph.subgraphs:
-        D = incidence_matrix(sub).tocsr()
-        f = flow_rhs(sub)
-        for row in range(sub.n_vertices):
-            lo, hi = D.indptr[row], D.indptr[row + 1]
-            form.row(
-                f"flow_{_lp_name(sub.charger_type_id)}_{row}", "flow",
-                ((x_of[sub.edge_offset + int(col)], float(val))
-                 for col, val in zip(D.indices[lo:hi], D.data[lo:hi])),
-                "==", f[row],
-            )
-
-    # --- one plug-in per visit ---------------------------------------------------
-    for grp in graph.groups:
-        form.row(
-            f"group_{_lp_name(grp.visit.id)}", "group",
-            ((x_of[gid], 1.0) for gid in grp.entering_edges), "<=", 1.0,
-        )
-
-    # --- charge-level dynamics ---------------------------------------------------
-    for j, bus in enumerate(scenario.buses):
-        for k in range(K):
-            types = inst.charging_types_at(bus.id, k)
-            coeffs = [(s_of[(bus.id, k + 1)], 1.0), (s_of[(bus.id, k)], -1.0)]
-            coeffs += [(g_of[(bus.id, k, tid)], -1.0) for tid in types]
-            rhs = 0.0 if types else -float(inst.discharge_kwh[j, k])
-            form.row(f"dyn_{_lp_name(bus.id)}_{k}", "dynamics", coeffs, "==", rhs)
-
-    # --- gain bounds ---------------------------------------------------------------
-    params_cache: Dict[Tuple[str, str], DiscreteChargeParams] = {}
-    for (bus_id, k, tid), gi in g_of.items():
-        key = (bus_id, tid)
-        if key not in params_cache:
-            params_cache[key] = pair_discrete_params(
-                scenario.bus_by_id(bus_id), scenario.charger_by_id(tid), delta_h
-            )
-        par = params_cache[key]
-        xi = x_of[graph.sigma[(bus_id, k, tid)]]
-        cap = scenario.bus_by_id(bus_id).capacity_kwh
-        tag = f"{_lp_name(bus_id)}_{k}_{_lp_name(tid)}"
-        if options.fixed_rate:
-            form.row(f"gfix_{tag}", "gain_fix", ((gi, 1.0), (xi, -par.b_bar_cc)), "==", 0.0)
-        else:
-            form.row(f"gcc_{tag}", "gain_cc", ((gi, 1.0),), "<=", par.b_bar_cc)
-            if not options.linear_profile:
-                form.row(
-                    f"gcv_{tag}", "gain_cv",
-                    ((gi, 1.0), (s_of[(bus_id, k)], -(par.a_bar_cv - 1.0))),
-                    "<=", par.b_bar_cv,
-                )
-        form.row(f"gbig_{tag}", "gain_bigm", ((gi, 1.0), (xi, -cap)), "<=", 0.0)
+    # --- gain bounds, the rows of one gain together --------------------------------------
+    if options.fixed_rate:
+        gain_rows = (("gain_fix", "gfix"), ("gain_bigm", "gbig"))
+    elif options.linear_profile:
+        gain_rows = (("gain_cc", "gcc"), ("gain_bigm", "gbig"))
+    else:
+        gain_rows = (("gain_cc", "gcc"), ("gain_cv", "gcv"), ("gain_bigm", "gbig"))
+    families, prefixes = zip(*gain_rows)
+    params = {}
+    for bus_id, _, tid in g_keys:
+        if (bus_id, tid) not in params:
+            bus = scenario.bus_by_id(bus_id)
+            par = pair_discrete_params(bus, scenario.charger_by_id(tid), inst.delta_hours)
+            params[(bus_id, tid)] = (par.b_bar_cc, par.a_bar_cv, par.b_bar_cv, bus.capacity_kwh)
+    b_cc, a_cv, b_cv, cap = np.array(
+        [params[(bus_id, tid)] for bus_id, _, tid in g_keys], dtype=float
+    ).reshape(-1, 4).T
+    edge = x[np.array([graph.sigma[key] for key in g_keys], dtype=np.int64)]
+    n_g, r = len(g_keys), len(gain_rows)
+    first = np.arange(n_g) * r
+    lo = np.full(n_g * r, -math.inf)
+    hi = np.zeros(n_g * r)
+    parts = [(np.arange(n_g * r), np.repeat(g, r), 1.0)]
+    if options.fixed_rate:
+        lo[first] = 0.0
+        parts.append((first, edge, -b_cc))
+    else:
+        hi[first] = b_cc
+        if not options.linear_profile:
+            hi[first + 1] = b_cv
+            parts.append((first + 1, s[g_j, g_k], -(a_cv - 1.0)))
+    parts.append((first + r - 1, edge, -cap))
+    form.rows(
+        families, lo, hi, parts,
+        lambda: _names((prefix, *key) for key in g_keys for prefix in prefixes),
+        kind=np.tile(np.arange(r), n_g),
+    )
 
     # --- meter aggregation ------------------------------------------------------------
-    gains_by_step: Dict[int, List[int]] = {}
-    for (bus_id, k, tid), gi in g_of.items():
-        gains_by_step.setdefault(k, []).append(gi)
-    for k in range(K):
-        coeffs = [(e_of[k], 1.0)] + [(gi, -1.0) for gi in gains_by_step.get(k, [])]
-        form.row(f"energy_{k}", "energy", coeffs, "==", inst.load_kwh[k])
+    form.rows(
+        "energy", *_bounds("==", inst.load_kwh), [(np.arange(K), e, 1.0), (g_k, g, -1.0)],
+        lambda: _names(("energy", k) for k in range(K)),
+    )
 
-    # --- moving demand window -----------------------------------------------------------
+    # --- moving demand window and peaks: window, peak, peak_tou rows per instant ---------
     window_h = rates.demand_window_minutes / 60.0
     m, fracw = _window_shape(rates.demand_window_minutes, inst.delta_min)
     history = options.energy_history
@@ -451,52 +600,73 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
             return float(history[idx])
         return 0.0
 
-    for k in range(K + 1):
-        coeffs = [(p_of[k], window_h)]
-        const = 0.0
-        for k_prime in range(k - m, k):
-            if k_prime >= 0:
-                coeffs.append((e_of[k_prime], -1.0))
-            else:
-                const += history_energy(k_prime)
-        if fracw > 0.0:
-            k_prime = k - m - 1
-            if k_prime >= 0:
-                coeffs.append((e_of[k_prime], -fracw))
-            else:
-                const += fracw * history_energy(k_prime)
-        form.row(f"window_{k}", "window", coeffs, "==", const)
-        form.row(f"peak_{k}", "peak", ((peak_idx, 1.0), (p_of[k], -1.0)), ">=", 0.0)
-        if inst.instant_in_peak[k]:
-            form.row(
-                f"peak_tou_{k}", "peak_tou",
-                ((peak_tou_idx, 1.0), (p_of[k], -1.0)), ">=", 0.0,
-            )
+    # only the windows ending at instants 0..m reach before step 0
+    const = np.zeros(K + 1)
+    for k in range(min(K, m) + 1):
+        total = 0.0
+        for k_prime in range(k - m, min(k, 0)):
+            total += history_energy(k_prime)
+        if fracw > 0.0 and k - m - 1 < 0:
+            total += fracw * history_energy(k - m - 1)
+        const[k] = total
 
-    # --- soft lower bounds -----------------------------------------------------------------
+    in_peak = np.asarray(inst.instant_in_peak, dtype=bool)
+    width = 2 + in_peak
+    win = np.cumsum(width) - width  # each instant's window row
+    tou = win[in_peak] + 2
+    kind = np.ones(int(width.sum()), dtype=np.int64)
+    kind[win] = 0
+    kind[tou] = 2
+    lo = np.zeros(len(kind))
+    hi = np.full(len(kind), math.inf)
+    lo[win] = hi[win] = const
+    ks = np.arange(K + 1)
+    parts = [(win, p, window_h)]
+    # steps k-m..k-1 whole, then step k-m-1 by its fraction
+    back = [(m - i, -1.0) for i in range(m)] + ([(m + 1, -fracw)] if fracw > 0.0 else [])
+    for shift, weight in back:
+        k_prime = ks - shift
+        inside = k_prime >= 0
+        parts.append((win[inside], e[k_prime[inside]], weight))
+    parts += [
+        (win + 1, peak_idx, 1.0), (win + 1, p, -1.0),
+        (tou, peak_tou_idx, 1.0), (tou, p[in_peak], -1.0),
+    ]
+    form.rows(
+        ("window", "peak", "peak_tou"), lo, hi, parts,
+        lambda: _names(
+            (prefix, k) for k, on_peak in enumerate(in_peak.tolist())
+            for prefix in ("window", "peak", "peak_tou")[:2 + on_peak]
+        ),
+        kind=kind,
+    )
+
+    # --- soft lower bounds ---------------------------------------------------------------
     if options.soft_min_soc:
-        for bus in scenario.buses:
-            cap = bus.capacity_kwh
-            lo = (bus.min_soc + options.soc_buffer) * cap
-            for k in range(1, K + 1):
-                form.row(
-                    f"softmin_{_lp_name(bus.id)}_{k}", "soft_min",
-                    ((s_of[(bus.id, k)], 1.0), (slack_of[(bus.id, k)], 1.0)), ">=", lo,
-                )
+        rows = np.arange(n_bus * K)
+        form.rows(
+            "soft_min", *_bounds(">=", np.repeat(band_lo, K)),
+            [(rows, s[:, 1:].ravel(), 1.0), (rows, slack, 1.0)],
+            lambda: _names(("softmin", b, k) for b in bus_ids for k in range(1, K + 1)),
+        )
 
-    names = [tags[0] for *_, tags in form.cols]
-    if len(set(names)) != len(names):
+    # column names are prefix-distinct by family; within one they clash only
+    # when sanitized bus ids do, or gain tags do
+    bus_tag = {b: _lp_name(b) for b in bus_ids}
+    type_tag = {t: _lp_name(t) for t in type_index}
+    if (len(set(bus_tag.values())) < n_bus
+            or len({f"{bus_tag[b]}_{k}_{type_tag[t]}" for b, k, t in g_keys}) < len(g_keys)):
         raise ValueError("variable name collision after sanitization")
 
     return MilpModel(
-        **form.arrays(),
+        **form.fields(),
         graph=graph,
         options=options,
         x_of=x_of,
         s_of=s_of,
         g_of=g_of,
-        e_of=e_of,
-        p_of=p_of,
+        e_of=dict(enumerate(e.tolist())),
+        p_of=dict(enumerate(p.tolist())),
         peak_idx=peak_idx,
         peak_tou_idx=peak_tou_idx,
         window_m=m,
@@ -512,23 +682,29 @@ def add_terminal_cost(
     if weight < 0:
         raise ValueError("terminal weight must be non-negative")
     K = model.instance.n_steps
-    form = _Assembly(model)
-    err_of = dict(model.err_of)
-    terminal_targets = dict(model.terminal_targets)
-    for bus_id, target in targets.items():
+    bus_ids = tuple(targets)
+    for bus_id in bus_ids:
         if (bus_id, K) not in model.s_of:
             raise KeyError(f"unknown bus {bus_id!r}")
-        idx = form.col(
-            f"err_{_lp_name(bus_id)}", 0.0, math.inf, float(weight), "terminal_err",
-            bus_id=bus_id,
-        )
-        err_of[bus_id] = idx
-        terminal_targets[bus_id] = float(target)
-        s_idx = model.s_of[(bus_id, K)]
-        tag = _lp_name(bus_id)
-        form.row(f"term_lo_{tag}", "terminal", ((idx, 1.0), (s_idx, 1.0)), ">=", target)
-        form.row(f"term_hi_{tag}", "terminal", ((idx, 1.0), (s_idx, -1.0)), ">=", -float(target))
-    return model.extended(form, err_of=err_of, terminal_targets=terminal_targets)
+    form = _Assembly(model)
+    err = form.cols(
+        len(bus_ids), 0.0, math.inf, weight, "terminal_err",
+        lambda: _tags("terminal_err", [("err", b, None, None) for b in bus_ids]),
+    )
+    s_end = np.array([model.s_of[(bus_id, K)] for bus_id in bus_ids], dtype=np.int64)
+    target = np.array([targets[bus_id] for bus_id in bus_ids], dtype=float)
+    # per bus: err + s >= target, then err - s >= -target
+    rows = np.arange(2 * len(bus_ids))
+    form.rows(
+        "terminal", *_bounds(">=", np.column_stack((target, -target)).ravel()),
+        [(rows, np.repeat(err, 2), 1.0), (rows[0::2], s_end, 1.0), (rows[1::2], s_end, -1.0)],
+        lambda: _names((side, b) for b in bus_ids for side in ("term_lo", "term_hi")),
+    )
+    return model.extended(
+        form,
+        err_of={**model.err_of, **dict(zip(bus_ids, err.tolist()))},
+        terminal_targets={**model.terminal_targets, **dict(zip(bus_ids, target.tolist()))},
+    )
 
 
 def lock_charged_visits(model: MilpModel, charged_visit_ids: Iterable[str]) -> MilpModel:
@@ -539,16 +715,18 @@ def lock_charged_visits(model: MilpModel, charged_visit_ids: Iterable[str]) -> M
     capped at zero.
     """
     charged = set(charged_visit_ids)
+    graph = model.graph
+    locked = [grp for grp in graph.groups if grp.visit.id in charged]
+    cols = [
+        [model.x_of[gid] for gid in grp.entering_edges if graph.edge(gid).kind != "source"]
+        for grp in locked
+    ]
     form = _Assembly(model)
-    for grp in model.graph.groups:
-        if grp.visit.id not in charged:
-            continue
-        form.row(
-            f"lock_{_lp_name(grp.visit.id)}", "lock",
-            ((model.x_of[gid], 1.0) for gid in grp.entering_edges
-             if model.graph.edge(gid).kind != "source"),
-            "<=", 0.0,
-        )
+    form.rows(
+        "lock", *_bounds("<=", np.zeros(len(locked))),
+        [(_ragged([len(c) for c in cols]), _concat(cols, np.int64), 1.0)],
+        lambda: _names(("lock", grp.visit.id) for grp in locked),
+    )
     return model.extended(form)
 
 
@@ -749,9 +927,10 @@ def extract_plan(
     else:
         demand_tou = 0.0
 
+    aux = model.columns_of("flow", "terminal_err", "soc_slack")
     auxiliary = 0.0
-    for (_, role, *_), obj, x_i in zip(model.columns, model.c.tolist(), x):
-        if role in ("flow", "terminal_err", "soc_slack") and obj != 0.0:
+    for obj, x_i in zip(model.c[aux].tolist(), x[aux]):
+        if obj != 0.0:
             auxiliary += obj * x_i
     objective = float(model.objective_vector() @ x)
     recomputed = consumption + demand_base + demand_tou + auxiliary

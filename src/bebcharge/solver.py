@@ -26,7 +26,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
-from scipy.sparse import coo_array, csc_array, vstack
 
 from .milp import MilpModel, window_averages
 
@@ -85,23 +84,28 @@ class MilpSolution:
         return self.assignment is not None
 
 
+def _row_split(model: MilpModel):
+    """The stored rows as linprog takes them: the one-sided rows with their
+    signs and right-hand sides in ``<=`` form (a ``>=`` row negated), and the
+    equality rows, each in model order."""
+    lo, hi = model.row_lo, model.row_hi
+    ineq = np.flatnonzero(lo != hi)
+    sign = np.where(lo[ineq] == -math.inf, 1.0, -1.0)
+    return ineq, sign, np.where(sign > 0, hi[ineq], -lo[ineq]), np.flatnonzero(lo == hi)
+
+
 class _Matrices:
     """The model in linprog form: its stored rows split into equality rows and
     ``<=`` rows (``>=`` rows negated), each in model order.  ``solve_lp``
-    hands these to ``linprog`` and certifies its answer against them;
-    ``_NodeLp`` loads them into HiGHS once per branch-and-bound search."""
+    hands these to ``linprog`` and certifies its answer against them."""
 
     def __init__(self, model: MilpModel):
         self.c = model.c
-        lo, hi = model.row_lo, model.row_hi
-        eq = np.flatnonzero(lo == hi)
+        ineq, sign, self.b_ub, eq = _row_split(model)
         self.A_eq = model.A[eq]
-        self.b_eq = hi[eq]
-        ineq = np.flatnonzero(lo != hi)
-        sign = np.where(lo[ineq] == -math.inf, 1.0, -1.0)
+        self.b_eq = model.row_hi[eq]
         self.A_ub = model.A[ineq]
         self.A_ub.data *= np.repeat(sign, np.diff(self.A_ub.indptr))
-        self.b_ub = np.where(sign > 0, hi[ineq], -lo[ineq])
         # canonical CSR (columns sorted within each row), so row products
         # sum in column order
         self.A_eq.sum_duplicates()
@@ -171,26 +175,35 @@ class _NodeLp:
     and clears the previous solve's basis, so every solve starts cold.  HiGHS
     sees exactly the LP ``linprog(method="highs")`` builds from ``_Matrices``
     (``A_ub`` stacked above ``A_eq`` in CSC form, rows ``(-inf, b_ub]`` and
-    ``[b_eq, b_eq]``, the same options), and the answer passes the same
-    status map and feasibility check, so ``solve`` gives what ``linprog``
-    gives, bit for bit, without re-cleaning and re-converting the matrices
-    at every node.
+    ``[b_eq, b_eq]``, the same options), here made from the model's stored
+    rows by one permutation, and the answer passes the same status map and
+    feasibility check, so ``solve`` gives what ``linprog`` gives, bit for
+    bit, without re-cleaning and re-converting the matrices at every node.
     """
 
-    def __init__(self, mats: _Matrices, lb: np.ndarray, ub: np.ndarray):
-        A = csc_array(vstack((coo_array(mats.A_ub), coo_array(mats.A_eq))))
+    def __init__(self, model: MilpModel, lb: np.ndarray, ub: np.ndarray):
+        # one row permutation: the one-sided rows in <= form, then the
+        # equality rows
+        ineq, sign, b_ub, eq = _row_split(model)
+        self.n_ub = len(ineq)
+        A = model.A[np.concatenate((ineq, eq))]
+        A.data *= np.repeat(np.concatenate((sign, np.ones(len(eq)))), np.diff(A.indptr))
+        A.sum_duplicates()
+        A = A.tocsc()
         n_rows, n_cols = A.shape
-        self.n_ub = len(mats.b_ub)
-        self.row_hi = np.concatenate((mats.b_ub, mats.b_eq))
+        b_eq = model.row_hi[eq]
+        self.row_hi = np.concatenate((b_ub, b_eq))
         lp = _highs.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
         lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
-        lp.a_matrix_.start_ = A.indptr
-        lp.a_matrix_.index_ = A.indices
+        # the binding copies integer arrays element by element, about twice
+        # as fast from a list as from a numpy array
+        lp.a_matrix_.start_ = A.indptr.tolist()
+        lp.a_matrix_.index_ = A.indices.tolist()
         lp.a_matrix_.value_ = A.data
-        lp.col_cost_ = mats.c
-        lp.row_lower_ = np.concatenate((np.full(self.n_ub, -math.inf), mats.b_eq))
+        lp.col_cost_ = model.c
+        lp.row_lower_ = np.concatenate((np.full(self.n_ub, -math.inf), b_eq))
         lp.row_upper_ = self.row_hi
         self.lp = lp
         self.cols = np.arange(n_cols, dtype=np.int32)
@@ -489,9 +502,8 @@ def branch_and_bound(
     ``time_s,nodes,incumbent,bound,gap`` — diagnostics only, never part of
     solve results (wall time is not deterministic).
     """
-    mats = _Matrices(model)
     lb0, ub0 = model.bound_arrays()
-    lp = _NodeLp(mats, lb0, ub0)
+    lp = _NodeLp(model, lb0, ub0)
     int_idx = model.integer_indices()
     t0 = time.monotonic()
 
@@ -511,7 +523,7 @@ def branch_and_bound(
         ws = np.asarray(warm_start, dtype=float)
         if ws.shape == (model.n_variables,) and validate_solution(model, ws)["ok"]:
             incumbent = ws
-            inc_obj = float(mats.c @ ws)
+            inc_obj = float(model.c @ ws)
 
     nodes = 0
 
@@ -548,7 +560,7 @@ def branch_and_bound(
         pumped = _lp_guided_incumbent(lp, model, lb0, ub0, root_x, int_idx)
         if pumped is not None:
             incumbent = pumped
-            inc_obj = float(mats.c @ pumped)
+            inc_obj = float(model.c @ pumped)
             note_improvement(root_bound)
     if root_bound < inc_obj:
         current = (root_bound, lb0, ub0, root_x)
@@ -764,12 +776,12 @@ def build_warm_start(
 
     # slacks, terminal errors, meter chain
     if options.soft_min_soc:
-        for v_idx, (_, role, bus_id, k, _) in enumerate(model.columns):
-            if role == "soc_slack":
-                s_val = x[model.s_of[(bus_id, k)]]
-                cap = scenario.bus_by_id(bus_id).capacity_kwh
-                lo = (scenario.bus_by_id(bus_id).min_soc + options.soc_buffer) * cap
-                x[v_idx] = max(0.0, lo - s_val)
+        # the slack columns run bus by bus over instants 1..K
+        slack = model.columns_of("soc_slack").reshape(len(scenario.buses), K)
+        for j, bus in enumerate(scenario.buses):
+            lo = (bus.min_soc + options.soc_buffer) * bus.capacity_kwh
+            for k in range(1, K + 1):
+                x[slack[j, k - 1]] = max(0.0, lo - x[model.s_of[(bus.id, k)]])
     for bus_id, err_idx in model.err_of.items():
         target = model.terminal_targets[bus_id]
         x[err_idx] = abs(x[model.s_of[(bus_id, K)]] - target)

@@ -1,12 +1,19 @@
 """Model-assembly tests: row structure by hand, window arithmetic against an
 independent interval-overlap integral, LP export round-trip plus a golden
-snapshot, and plan extraction from a hand-built feasible assignment."""
+snapshot, plan extraction from a hand-built feasible assignment, the stored
+form against the row-by-row reference builder, names made only on demand,
+and the name-collision check."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_array, csc_array, vstack
 
+from bebcharge import solver
 from bebcharge.charge_model import discretize_params
 from bebcharge.graph import build_action_graph
 from bebcharge.milp import (
@@ -18,9 +25,18 @@ from bebcharge.milp import (
     lock_charged_visits,
     window_averages,
 )
-from bebcharge.scenario import charging_params, discretize
+from bebcharge.scenario import (
+    ChargerType,
+    GeneratorBounds,
+    Scenario,
+    ScheduleBlock,
+    charging_params,
+    discretize,
+    generate_random_scenario,
+)
 
-from helpers import single_visit_scenario
+from helpers import make_bus, mini_scenario, single_visit_scenario
+from reference_milp import reference_lock, reference_model, reference_terminal_cost
 
 GOLDEN = "tests/golden/tiny_model.lp"
 
@@ -461,3 +477,163 @@ def test_model_arrays_are_read_only():
     for arr in (lb, ub, model.objective_vector(), model.integer_indices(), model.A.data):
         with pytest.raises(ValueError):
             arr[0] = arr[0] + 1.0
+
+
+# ---------------------------------------------------------------------------
+# the family-by-family build against the row-by-row reference
+
+
+@st.composite
+def model_cases(draw):
+    """A day (mini or generated with 1-4 buses), a grid window, and model
+    options; the graph sometimes carries edge costs and attachments."""
+    if draw(st.booleans()):
+        scenario = mini_scenario(draw(st.integers(0, 10_000)))
+        t0 = scenario.day_start_min + draw(st.sampled_from([0, 0, 15, 30]))
+        t_end = None
+    else:
+        bounds = GeneratorBounds(n_buses=draw(st.integers(1, 4)))
+        scenario = generate_random_scenario(draw(st.integers(0, 10_000)), bounds)
+        t0 = draw(st.integers(scenario.day_start_min, scenario.day_end_min - 120))
+        t_end = min(t0 + draw(st.integers(60, 240)), scenario.day_end_min)
+    window = draw(st.sampled_from([15, 16, 20]))
+    scenario = dataclasses.replace(
+        scenario, rates=dataclasses.replace(scenario.rates, demand_window_minutes=window)
+    )
+    if draw(st.booleans()):
+        # list each visit's charger types against their sorted order
+        scenario = dataclasses.replace(scenario, buses=tuple(
+            dataclasses.replace(bus, schedule=tuple(
+                dataclasses.replace(block, charger_type_ids=block.charger_type_ids[::-1])
+                for block in bus.schedule
+            ))
+            for bus in scenario.buses
+        ))
+    inst = discretize(scenario, draw(st.sampled_from([3.0, 5.0])), t0_min=t0, t_end_min=t_end)
+    pairs = [(b.id, ct.id) for b in scenario.buses for ct in scenario.charger_types]
+    attachments = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2))
+    graph = build_action_graph(inst, attachments=tuple(attachments))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        costs = np.where(rng.random(graph.n_edges) < 0.3, -rng.uniform(0, 2, graph.n_edges), 0.0)
+        graph = dataclasses.replace(graph, edge_costs=costs)
+    buses = [b.id for b in scenario.buses]
+    soft = draw(st.booleans())
+    initial = draw(st.dictionaries(st.sampled_from(buses), st.floats(60.0, 300.0), max_size=2))
+    options = ModelOptions(
+        fixed_rate=draw(st.booleans()),
+        linear_profile=draw(st.booleans()),
+        enforce_final_soc=draw(st.booleans()),
+        initial_soc_kwh=initial or None,
+        energy_history=tuple(draw(st.lists(st.floats(0.0, 40.0), max_size=8))),
+        soft_min_soc=soft,
+        soft_min_weight=draw(st.floats(0.5, 50.0)) if soft else 0.0,
+    )
+    targets = draw(st.dictionaries(st.sampled_from(buses), st.floats(50.0, 300.0), min_size=1))
+    weight = draw(st.floats(0.0, 20.0))
+    visit_ids = [grp.visit.id for grp in graph.groups] + ["no-such-visit"]
+    locked = draw(st.lists(st.sampled_from(visit_ids), unique=True))
+    return graph, options, targets, weight, locked
+
+
+def assert_same_stored_form(model, ref):
+    for name in ("c", "lb", "ub", "integer", "row_lo", "row_hi", "row_family"):
+        got, want = getattr(model, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert model.A.shape == ref.A.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(model.A, name), getattr(ref.A, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert model.row_names == ref.row_names
+    assert model.columns == ref.columns
+    assert model.families == ref.families
+    for name in ("x_of", "s_of", "g_of", "e_of", "p_of", "err_of", "terminal_targets"):
+        assert list(getattr(model, name).items()) == list(getattr(ref, name).items()), name
+    assert (model.peak_idx, model.peak_tou_idx) == (ref.peak_idx, ref.peak_tou_idx)
+
+
+def stacked_highs_arrays(model):
+    """What the node LP handed HiGHS before it permuted the stored rows: the
+    linprog split stacked ``A_ub`` over ``A_eq`` and converted to CSC."""
+    mats = solver._Matrices(model)
+    A = csc_array(vstack((coo_array(mats.A_ub), coo_array(mats.A_eq))))
+    lower = np.concatenate((np.full(len(mats.b_ub), -math.inf), mats.b_eq))
+    upper = np.concatenate((mats.b_ub, mats.b_eq))
+    return A.indptr, A.indices, A.data, lower, upper
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=model_cases())
+def test_family_build_matches_row_by_row_reference(case):
+    graph, options, targets, weight, locked = case
+    model = build_static_model(graph, options)
+    ref = reference_model(graph, options)
+    assert_same_stored_form(model, ref)
+    model = add_terminal_cost(model, targets, weight)
+    ref = reference_terminal_cost(ref, targets, weight)
+    assert_same_stored_form(model, ref)
+    model = lock_charged_visits(model, locked)
+    ref = reference_lock(ref, locked)
+    assert_same_stored_form(model, ref)
+
+    lp = solver._NodeLp(model, model.lb, model.ub).lp
+    start, index, value, lower, upper = stacked_highs_arrays(model)
+    assert np.array_equal(np.asarray(lp.a_matrix_.start_), start)
+    assert np.array_equal(np.asarray(lp.a_matrix_.index_), index)
+    for got, want in ((lp.a_matrix_.value_, value), (lp.row_lower_, lower),
+                      (lp.row_upper_, upper), (lp.col_cost_, model.c)):
+        assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+
+
+def test_names_are_built_only_on_demand():
+    opts = ModelOptions(soft_min_soc=True, soft_min_weight=7.0, enforce_final_soc=False)
+    model, graph, inst = build(options=opts)
+    model = add_terminal_cost(model, {"b1": 140.0}, weight=2.0)
+    model = lock_charged_visits(model, ["no-such-visit"])
+    sol = solver.branch_and_bound(model)
+    plan = extract_plan(model, sol.assignment)
+    assert plan.intervals
+    assert solver.build_warm_start(model, plan.intervals) is not None
+    lazy = ("columns", "row_names", "variables", "constraints")
+    assert not set(lazy) & set(vars(model))
+    assert model.variables[model.peak_idx].name == "p_max"
+    assert {"columns", "variables"} <= set(vars(model))
+    assert "row_names" not in vars(model)
+
+
+def two_bus_scenario(first, second):
+    """Bus ``first[0]`` charges at step 1 on type ``first[1]``, bus
+    ``second[0]`` at step 2 on type ``second[1]`` (15-minute grid)."""
+    buses = []
+    for (bus_id, type_id), (a, b) in ((first, (315, 330)), (second, (330, 345))):
+        blocks = [
+            ScheduleBlock("on_route", 300, a, route_power_kw=20.0),
+            ScheduleBlock("in_station", a, b, charger_type_ids=(type_id,)),
+        ]
+        buses.append(make_bus(bus_id=bus_id, schedule=blocks))
+    types = sorted({first[1], second[1]})
+    return Scenario(
+        day_start_min=300, day_end_min=360, buses=tuple(buses),
+        charger_types=tuple(ChargerType(t, 1, 120.0, 2.0, "stn") for t in types),
+    )
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(("b-1", "fast"), ("b_1", "fast")), (("b", "2_x"), ("b_1", "x"))],
+    ids=["bus_ids", "across_fields"],
+)
+def test_name_collision_after_sanitization_raises(first, second):
+    graph = build_action_graph(discretize(two_bus_scenario(first, second), 15.0))
+    with pytest.raises(ValueError, match="variable name collision after sanitization"):
+        build_static_model(graph)
+    with pytest.raises(ValueError, match="variable name collision after sanitization"):
+        reference_model(graph, ModelOptions())
+
+
+def test_distinct_names_after_sanitization_build():
+    # the same layout with ids that stay apart once sanitized
+    graph = build_action_graph(discretize(two_bus_scenario(("b", "2_x"), ("c_1", "x")), 15.0))
+    names = [v.name for v in build_static_model(graph).variables]
+    assert "g_b_1_2_x" in names and "g_c_1_2_x" in names
+    assert len(set(names)) == len(names)

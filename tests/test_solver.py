@@ -161,7 +161,7 @@ def test_node_lp_matches_linprog(monkeypatch, make, kinds):
     # the root alike before and after that infeasible solve
     no_charge = ub0.copy()
     no_charge[list(model.g_of.values())] = 0.0
-    lp = solver._NodeLp(mats, lb0, ub0)
+    lp = solver._NodeLp(model, lb0, ub0)
     root = linprog_reference(mats, lb0, ub0)
     assert_same_lp_answer(lp.solve(lb0, ub0), root)
     assert lp.solve(lb0, no_charge)[0] == 2
@@ -173,7 +173,7 @@ def test_node_lp_retries_on_a_fresh_dual_simplex(monkeypatch):
     model = bundled_day_model()
     mats = solver._Matrices(model)
     lb0, ub0 = model.bound_arrays()
-    lp = solver._NodeLp(mats, lb0, ub0)
+    lp = solver._NodeLp(model, lb0, ub0)
     real_run = solver._NodeLp._run
     runs = []
 
