@@ -30,7 +30,7 @@ for re-entering locked visits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -105,23 +105,31 @@ class SubGraph:
 
 @dataclass(frozen=True)
 class VisitGroup:
-    """A visit's charging vertices (global ids, spanning charger types) and
-    the edges entering that set from outside."""
+    """A visit and the edges entering its charging vertices (across charger
+    types) from outside."""
 
     visit: Visit
-    vertex_ids: frozenset
     entering_edges: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ActionGraph:
-    """All sub-graphs plus the cross-cutting index structures the MILP needs."""
+    """All sub-graphs plus the cross-cutting index structures the MILP needs.
+
+    ``sigma`` maps (bus, step, charger type) to the charge edge of that step.
+    A charging run from step ``k0`` to ``k1`` is entered by the edge
+    ``enter_of[(bus, k0, type)]`` (from rest, or from the source for an
+    attached charger) and left by ``leave_of[(bus, k1, type)]`` (to rest or
+    the sink).
+    """
 
     instance: DiscreteInstance
     subgraphs: Tuple[SubGraph, ...]
     groups: Tuple[VisitGroup, ...]
     sigma: Dict[Tuple[str, int, str], int]
     edge_costs: np.ndarray
+    enter_of: Dict[Tuple[str, int, str], int]
+    leave_of: Dict[Tuple[str, int, str], int]
 
     @property
     def n_edges(self) -> int:
@@ -214,6 +222,8 @@ def build_action_graph(
     edge_offset = 0
     global_vertex_of: Dict[Tuple[str, str, int], int] = {}  # (type, bus, k) -> global id
     sigma: Dict[Tuple[str, int, str], int] = {}
+    enter_of: Dict[Tuple[str, int, str], int] = {}
+    leave_of: Dict[Tuple[str, int, str], int] = {}
 
     for ct in scenario.charger_types:
         steps = avail[ct.id]
@@ -320,6 +330,13 @@ def build_action_graph(
         for i, e in enumerate(sub.edges):
             if e.kind == "charge":
                 sigma[(e.bus_id, e.k_from, ct.id)] = edge_offset + i
+            elif e.bus_id is not None:
+                # a bus's transition, source or sink edge: into its charging
+                # vertex, or out of it
+                if sub.vertices[e.head].kind == "charge":
+                    enter_of[(e.bus_id, e.k_to, ct.id)] = edge_offset + i
+                else:
+                    leave_of[(e.bus_id, e.k_from, ct.id)] = edge_offset + i
         subgraphs.append(sub)
         vertex_offset += sub.n_vertices
         edge_offset += sub.n_edges
@@ -342,13 +359,7 @@ def build_action_graph(
                 tail_gid = sub.vertex_offset + e.tail
                 if head_gid in vids and tail_gid not in vids:
                     entering.append(sub.edge_offset + i)
-        groups.append(
-            VisitGroup(
-                visit=visit,
-                vertex_ids=frozenset(vids),
-                entering_edges=tuple(sorted(entering)),
-            )
-        )
+        groups.append(VisitGroup(visit=visit, entering_edges=tuple(sorted(entering))))
 
     n_edges = edge_offset
     return ActionGraph(
@@ -357,6 +368,8 @@ def build_action_graph(
         groups=tuple(groups),
         sigma=sigma,
         edge_costs=np.zeros(n_edges),
+        enter_of=enter_of,
+        leave_of=leave_of,
     )
 
 
@@ -423,13 +436,7 @@ def apply_plan_preference(
     costs = graph.edge_costs.copy()
     for gid in close:
         costs[gid] -= bonus
-    return ActionGraph(
-        instance=graph.instance,
-        subgraphs=graph.subgraphs,
-        groups=graph.groups,
-        sigma=graph.sigma,
-        edge_costs=costs,
-    )
+    return replace(graph, edge_costs=costs)
 
 
 def dump_edges_csv(graph: ActionGraph, path: str) -> None:

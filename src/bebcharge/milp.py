@@ -590,25 +590,12 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     # --- moving demand window and peaks: window, peak, peak_tou rows per instant ---------
     window_h = rates.demand_window_minutes / 60.0
     m, fracw = _window_shape(rates.demand_window_minutes, inst.delta_min)
-    history = options.energy_history
-
-    def history_energy(k_prime: int) -> float:
-        # k_prime < 0 indexes realized steps before the window; history is
-        # most-recent-last, so k_prime = -1 is history[-1]
-        idx = len(history) + k_prime
-        if 0 <= idx < len(history):
-            return float(history[idx])
-        return 0.0
-
     # only the windows ending at instants 0..m reach before step 0
+    n_const = min(K, m)
     const = np.zeros(K + 1)
-    for k in range(min(K, m) + 1):
-        total = 0.0
-        for k_prime in range(k - m, min(k, 0)):
-            total += history_energy(k_prime)
-        if fracw > 0.0 and k - m - 1 < 0:
-            total += fracw * history_energy(k - m - 1)
-        const[k] = total
+    const[: n_const + 1] = _window_energy(
+        np.zeros(n_const), m, fracw, options.energy_history
+    )
 
     in_peak = np.asarray(inst.instant_in_peak, dtype=bool)
     width = 2 + in_peak
@@ -846,9 +833,18 @@ def window_averages(
     divide the window; steps before 0 read from ``history`` (most recent
     last, zero beyond it).
     """
-    e = np.asarray(step_energy, dtype=float)
     m, frac = _window_shape(window_minutes, delta_min)
-    window_h = window_minutes / 60.0
+    return _window_energy(step_energy, m, frac, history) / (window_minutes / 60.0)
+
+
+def _window_energy(
+    series: Sequence[float], m: int, frac: float, history: Sequence[float]
+) -> np.ndarray:
+    """Energy in the demand window ending at every instant 0..len(series):
+    the ``m`` whole steps before it plus ``frac`` of the step before those,
+    summed oldest first; steps before 0 read from ``history`` (most recent
+    last, zero beyond it)."""
+    e = np.asarray(series, dtype=float)
     hist = list(history)
 
     def energy_at(k_prime: int) -> float:
@@ -864,7 +860,7 @@ def window_averages(
         total = sum(energy_at(k_prime) for k_prime in range(k - m, k))
         if frac > 0.0:
             total += frac * energy_at(k - m - 1)
-        out[k] = total / window_h
+        out[k] = total
     return out
 
 

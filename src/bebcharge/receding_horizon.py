@@ -15,8 +15,11 @@ comes from four mechanisms:
   charge carry across the boundary (the charger stays attached);
 * **plan preference** - edges consistent with the previous iteration's plan
   get a tiny objective bonus, so near-ties don't oscillate between solves;
-* **warm starting** - the previous solution, shifted one step, seeds the
-  branch-and-bound incumbent when it is still realizable.
+* **warm starting** - the previous plan's charging runs, shifted one step
+  and routed through the new window's action graph, fix the search's integer
+  columns; when the root relaxation is fractional, one LP on the search's
+  own model completes the rest, and the result seeds the branch-and-bound
+  incumbent when it is feasible.
 
 Demand-charge continuity across solves comes from feeding each model the
 realized per-step meter energy just before its window, so sliding-window
@@ -211,9 +214,10 @@ def plan_horizon(
     """Solve one horizon window from the current closed-loop state.
 
     A hard-banded model is tried first, warm-started from the previous plan
-    when that still lifts to a feasible point; on infeasibility (or a node
-    limit with no incumbent) the model is rebuilt with soft minimum-level
-    slacks at ``soft_min_weight_factor`` times the terminal weight.  A solver
+    when its charging runs still route in this window; on infeasibility (or
+    a node limit with no incumbent) the model is rebuilt with soft
+    minimum-level slacks at ``soft_min_weight_factor`` times the terminal
+    weight.  A solver
     breakdown inside one window (an LP backend numerical failure) degrades to
     the same fallback path instead of aborting the day.
     """

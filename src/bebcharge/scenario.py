@@ -699,9 +699,6 @@ class DiscreteInstance:
                 return i
         raise KeyError(bus_id)
 
-    def visits_for(self, bus_id: str) -> List[Visit]:
-        return [v for v in self.visits if v.bus_id == bus_id]
-
     def charging_types_at(self, bus_id: str, k: int) -> Tuple[str, ...]:
         """Charger types available to a bus during step k (empty if none)."""
         for v in self.visits:

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core as _highs
 
-from .milp import MilpModel, window_averages
+from .milp import MilpModel
 
 __all__ = [
     "SolverError",
@@ -474,14 +474,28 @@ def _lp_guided_incumbent(
         )
         if routed is None:
             continue
-        flb, fub = lb.copy(), ub.copy()
-        flb[int_idx] = fub[int_idx] = routed[int_idx]
-        status, _, cand = lp.solve(flb, fub)
-        if status != 0:
-            continue
-        if validate_solution(model, cand)["ok"]:
+        cand = _complete_integers(lp, model, lb, ub, routed, int_idx)
+        if cand is not None:
             return cand
     return None
+
+
+def _complete_integers(
+    lp: _NodeLp,
+    model: MilpModel,
+    lb: np.ndarray,
+    ub: np.ndarray,
+    fixed: np.ndarray,
+    int_idx: np.ndarray,
+) -> Optional[np.ndarray]:
+    """Fix the integer columns at ``fixed`` and solve ``lp`` for the
+    continuous ones; the answer only if it validates."""
+    flb, fub = lb.copy(), ub.copy()
+    flb[int_idx] = fub[int_idx] = fixed[int_idx]
+    status, _, x = lp.solve(flb, fub)
+    if status != 0 or not validate_solution(model, x)["ok"]:
+        return None
+    return x
 
 
 def branch_and_bound(
@@ -492,11 +506,15 @@ def branch_and_bound(
 ) -> MilpSolution:
     """Solve the model to integrality.
 
-    A ``warm_start`` assignment, when it validates, becomes the initial
-    incumbent so large parts of the tree prune immediately; an invalid warm
-    start is ignored rather than trusted.  Without one, a fractional root
-    triggers an LP-guided primal heuristic so even node-limited solves
-    usually carry a feasible schedule and a true optimality gap.
+    An integral root is the optimum.  A fractional one first gets an
+    incumbent, so large parts of the tree prune immediately.  A
+    ``warm_start`` (an assignment whose integer columns are read, such as
+    ``build_warm_start``'s routed flows) is completed on the search's LP:
+    its integer columns are fixed and one node LP places the continuous
+    ones.  The answer becomes the incumbent only when it validates;
+    otherwise the start is ignored rather than trusted, and an LP-guided
+    primal heuristic runs instead, so even node-limited solves usually
+    carry a feasible schedule and a true optimality gap.
 
     ``on_improvement`` receives one CSV line per incumbent improvement,
     ``time_s,nodes,incumbent,bound,gap`` — diagnostics only, never part of
@@ -519,12 +537,6 @@ def branch_and_bound(
             f"{bound_now:.9g},{gap_now:.6g}"
         )
 
-    if warm_start is not None:
-        ws = np.asarray(warm_start, dtype=float)
-        if ws.shape == (model.n_variables,) and validate_solution(model, ws)["ok"]:
-            incumbent = ws
-            inc_obj = float(model.c @ ws)
-
     nodes = 0
 
     def solve_node(lb: np.ndarray, ub: np.ndarray):
@@ -541,8 +553,6 @@ def branch_and_bound(
 
     root = solve_node(lb0, ub0)
     if root is None:
-        if incumbent is not None:
-            raise SolverError("warm start validated but the root LP is infeasible")
         return MilpSolution("infeasible", math.inf, None, math.inf, nodes, math.inf)
 
     # open nodes: (bound, insertion sequence, lb, ub, relaxation x)
@@ -554,13 +564,15 @@ def branch_and_bound(
     def global_bound(local: float) -> float:
         return min(local, heap[0][0]) if heap else local
 
-    if incumbent is not None:
-        note_improvement(root_bound)
-    if incumbent is None and not _is_integral(root_x, int_idx):
-        pumped = _lp_guided_incumbent(lp, model, lb0, ub0, root_x, int_idx)
-        if pumped is not None:
-            incumbent = pumped
-            inc_obj = float(model.c @ pumped)
+    # an integral root is the optimum; otherwise seek an incumbent first
+    if not _is_integral(root_x, int_idx):
+        if warm_start is not None and np.shape(warm_start) == (model.n_variables,):
+            ws = np.asarray(warm_start, dtype=float)
+            incumbent = _complete_integers(lp, model, lb0, ub0, ws, int_idx)
+        if incumbent is None:
+            incumbent = _lp_guided_incumbent(lp, model, lb0, ub0, root_x, int_idx)
+        if incumbent is not None:
+            inc_obj = float(model.c @ incumbent)
             note_improvement(root_bound)
     if root_bound < inc_obj:
         current = (root_bound, lb0, ub0, root_x)
@@ -661,13 +673,11 @@ def _route_interval_flows(
                 return None
             x[model.x_of[gid]] = 1.0
         # one unit must enter before the run and leave after it
-        enter_gid = _entering_edge(graph, tid, bus_id, k0)
-        if enter_gid is None:
+        enter_gid = graph.enter_of.get((bus_id, k0, tid))
+        leave_gid = graph.leave_of.get((bus_id, k1, tid))
+        if enter_gid is None or leave_gid is None:
             return None
         x[model.x_of[enter_gid]] = 1.0
-        leave_gid = _leaving_edge(graph, tid, bus_id, k1)
-        if leave_gid is None:
-            return None
         x[model.x_of[leave_gid]] = 1.0
 
     for sub in graph.subgraphs:
@@ -711,123 +721,17 @@ def build_warm_start(
     model: MilpModel,
     intervals: Sequence[Tuple[str, str, int, int]],
 ) -> Optional[np.ndarray]:
-    """Lift charging intervals (in this model's step coordinates) to a full
-    assignment: flows routed through the action graph, gains forward-simulated
-    at the binding bound, meter and window variables recomputed.  Returns None
-    when the intervals cannot be realized in this model (missing edges, bound
-    violations, capacity conflicts), so callers can fall back to a cold solve.
+    """Lift charging intervals (in this model's step coordinates) to the
+    model's flow columns: each run clipped to the window and routed through
+    the action graph, every other column zero.  ``branch_and_bound`` fixes
+    these integer columns and completes the continuous ones on its own LP.
+    Returns None when a run cannot be routed (missing edge, unknown charger
+    type, more simultaneous runs than units), so callers can solve cold.
     """
-    inst = model.instance
-    scenario = inst.scenario
-    K = inst.n_steps
-    options = model.options
-    lb, ub = model.bound_arrays()
-
-    from .milp import pair_discrete_params
-
-    # clip to the window, drop what falls outside entirely
-    runs: List[Tuple[str, str, int, int]] = []
-    for bus_id, tid, k0, k1 in intervals:
-        k0c, k1c = max(k0, 0), min(k1, K)
-        if k1c > k0c:
-            runs.append((bus_id, tid, k0c, k1c))
-
-    x = _route_interval_flows(model, runs)
-    if x is None:
-        return None
-
-    # forward-simulate charge levels at the binding gain bound
-    run_type: Dict[Tuple[str, int], str] = {}
-    for bus_id, tid, k0, k1 in runs:
-        for k in range(k0, k1):
-            if (bus_id, k) in run_type:
-                return None  # overlapping runs for one bus
-            run_type[(bus_id, k)] = tid
-    for j, bus in enumerate(scenario.buses):
-        s = lb[model.s_of[(bus.id, 0)]]  # pinned start level
-        x[model.s_of[(bus.id, 0)]] = s
-        for k in range(K):
-            tid = run_type.get((bus.id, k))
-            if tid is not None:
-                par = pair_discrete_params(
-                    bus, scenario.charger_by_id(tid), inst.delta_hours
-                )
-                if options.fixed_rate:
-                    g = par.b_bar_cc
-                else:
-                    caps = [par.b_bar_cc, bus.capacity_kwh]
-                    if not options.linear_profile:
-                        caps.append((par.a_bar_cv - 1.0) * s + par.b_bar_cv)
-                    caps.append(ub[model.s_of[(bus.id, k + 1)]] - s)
-                    g = max(0.0, min(caps))
-                x[model.g_of[(bus.id, k, tid)]] = g
-                s = s + g
-            elif inst.charging_types_at(bus.id, k):
-                pass  # plugged-out step inside a visit: the level holds
-            else:
-                s = s - float(inst.discharge_kwh[j, k])
-            idx = model.s_of[(bus.id, k + 1)]
-            if s < lb[idx] - 1e-9 or s > ub[idx] + 1e-9:
-                if model.options.soft_min_soc and s < lb[idx]:
-                    pass  # slacks absorb it below
-                else:
-                    return None
-            x[idx] = s
-
-    # slacks, terminal errors, meter chain
-    if options.soft_min_soc:
-        # the slack columns run bus by bus over instants 1..K
-        slack = model.columns_of("soc_slack").reshape(len(scenario.buses), K)
-        for j, bus in enumerate(scenario.buses):
-            lo = (bus.min_soc + options.soc_buffer) * bus.capacity_kwh
-            for k in range(1, K + 1):
-                x[slack[j, k - 1]] = max(0.0, lo - x[model.s_of[(bus.id, k)]])
-    for bus_id, err_idx in model.err_of.items():
-        target = model.terminal_targets[bus_id]
-        x[err_idx] = abs(x[model.s_of[(bus_id, K)]] - target)
-    for k in range(K):
-        total = float(inst.load_kwh[k])
-        for (bus_id, kk, tid), gi in model.g_of.items():
-            if kk == k:
-                total += x[gi]
-        x[model.e_of[k]] = total
-    p_vals = window_averages(
-        [x[model.e_of[k]] for k in range(K)],
-        inst.delta_min,
-        scenario.rates.demand_window_minutes,
-        history=options.energy_history,
-    )
-    for k in range(K + 1):
-        x[model.p_of[k]] = p_vals[k]
-    x[model.peak_idx] = float(p_vals.max()) if len(p_vals) else 0.0
-    mask = inst.instant_in_peak
-    x[model.peak_tou_idx] = float(p_vals[mask].max()) if mask.any() else 0.0
-
-    return x if validate_solution(model, x)["ok"] else None
-
-
-def _entering_edge(graph, type_id, bus_id, k0) -> Optional[int]:
-    """The unique edge whose head is the run's first charge vertex."""
-    for gid, sub, e in graph.iter_edges():
-        if sub.charger_type_id != type_id or e.bus_id != bus_id:
-            continue
-        head = sub.vertices[e.head]
-        if head.kind == "charge" and head.bus_id == bus_id and head.k == k0:
-            tail = sub.vertices[e.tail]
-            if tail.kind in ("rest", "source"):
-                return gid
-    return None
-
-
-def _leaving_edge(graph, type_id, bus_id, k1) -> Optional[int]:
-    """The unique edge whose tail is the vertex just after the run's last
-    charge step."""
-    for gid, sub, e in graph.iter_edges():
-        if sub.charger_type_id != type_id or e.bus_id != bus_id:
-            continue
-        tail = sub.vertices[e.tail]
-        if tail.kind == "charge" and tail.bus_id == bus_id and tail.k == k1:
-            head = sub.vertices[e.head]
-            if head.kind in ("rest", "sink"):
-                return gid
-    return None
+    K = model.instance.n_steps
+    runs = [
+        (bus_id, tid, max(k0, 0), min(k1, K))
+        for bus_id, tid, k0, k1 in intervals
+        if min(k1, K) > max(k0, 0)
+    ]
+    return _route_interval_flows(model, runs)

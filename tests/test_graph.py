@@ -128,6 +128,44 @@ def test_sigma_maps_exactly_the_available_steps():
         assert (e.bus_id, e.k_from) == (key[0], key[1])
 
 
+def run_edge_scan(graph, kind_at, kinds_across):
+    """The edge scan the recorded run edges replaced, kept as the reference:
+    every bus edge with a charging vertex at ``kind_at`` ("head" or "tail")
+    and a ``kinds_across`` vertex at its other end, by (bus, instant, type)."""
+    found = {}
+    for gid, sub, e in graph.iter_edges():
+        at, across = (e.head, e.tail) if kind_at == "head" else (e.tail, e.head)
+        v = sub.vertices[at]
+        if (e.bus_id is not None and v.kind == "charge" and v.bus_id == e.bus_id
+                and sub.vertices[across].kind in kinds_across):
+            key = (e.bus_id, v.k, sub.charger_type_id)
+            assert key not in found  # one edge per run end
+            found[key] = gid
+    return found
+
+
+@pytest.mark.parametrize(
+    "inst, attachments",
+    [
+        (discretize(two_type_scenario(charger_counts=(2, 1)), 5.0), ()),
+        (discretize(single_visit_scenario(visit_end=360), 5.0), ()),
+        (discretize(single_visit_scenario(), 5.0, t0_min=335, t_end_min=360),
+         (("b1", "fast"),)),
+    ],
+    ids=["two_types", "visit_to_day_end", "attached"],
+)
+def test_run_edges_match_an_edge_scan(inst, attachments):
+    graph = build_action_graph(inst, attachments=attachments)
+    assert graph.enter_of == run_edge_scan(graph, "head", ("rest", "source"))
+    assert graph.leave_of == run_edge_scan(graph, "tail", ("rest", "sink"))
+    # every charge step can start and end a run
+    for bus_id, k, tid in graph.sigma:
+        assert (bus_id, k + 1, tid) in graph.leave_of
+        assert (bus_id, k, tid) in graph.enter_of or (k == 0 and not attachments)
+    pref = apply_plan_preference(graph, [0], 0.5)
+    assert (pref.enter_of, pref.leave_of) == (graph.enter_of, graph.leave_of)
+
+
 def test_attachment_creates_source_continuation_edge():
     scn = single_visit_scenario(visit_start=330, visit_end=345)
     inst = discretize(scn, 5.0, t0_min=335, t_end_min=360)  # window starts mid-visit

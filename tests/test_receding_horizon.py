@@ -1,10 +1,12 @@
 """Closed-loop tests for the hierarchical receding-horizon controller."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
+from bebcharge import receding_horizon
 from bebcharge.milp import ChargePlan
 from bebcharge.scenario import ChargerType, Scenario, ScheduleBlock, _step_count
 from bebcharge.simulation import (
@@ -25,6 +27,7 @@ from bebcharge.receding_horizon import (
     save_controller_log_csv,
     _shifted_warm_intervals,
 )
+from bebcharge.solver import MilpSolution, SolverError
 
 from helpers import make_bus, single_visit_scenario
 
@@ -225,6 +228,35 @@ class TestPlanHorizon:
         out = plan_horizon(sc, plan or fake_plan([], t0=300.0), HorizonConfig(), state)
         assert out.used_fallback
         assert out.plan is not None
+
+    @pytest.mark.parametrize("failure", ["raises", "unknown"])
+    def test_hard_solver_failure_falls_back_to_soft_model(self, monkeypatch, failure):
+        # the hard attempt's search breaks down (an LP backend exception, or
+        # a node limit with no schedule): the window still gets the soft
+        # model's plan
+        sc = single_visit_scenario()
+        plan, _ = nominal_plan(sc, 5.0)
+        state = ExecutionState(t_min=300.0, soc_kwh={"b1": 140.0})
+        real = receding_horizon.branch_and_bound
+        soft_solves = []
+
+        def failing_hard(model, limits, warm_start=None):
+            if model.options.soft_min_soc:
+                sol = real(model, limits, warm_start=warm_start)
+                soft_solves.append((model, sol))
+                return sol
+            if failure == "raises":
+                raise SolverError("LP backend failure (status 4)")
+            return MilpSolution("unknown", math.inf, None, -math.inf, 1, math.inf)
+
+        monkeypatch.setattr(receding_horizon, "branch_and_bound", failing_hard)
+        out = plan_horizon(sc, plan, HorizonConfig(), state)
+        assert out.used_fallback
+        assert len(soft_solves) == 1
+        model, sol = soft_solves[0]
+        assert out.model is model and out.solution is sol
+        assert out.plan is not None and out.plan.intervals
+        assert out.plan.objective_value == pytest.approx(sol.objective, rel=1e-9)
 
     def test_unreachable_state_fails_both_models(self):
         # above the buffered maximum: no slack exists on that side, so even

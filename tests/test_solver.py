@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
@@ -16,6 +16,7 @@ from bebcharge import solver
 from bebcharge.benchmarks import four_bus_day
 from bebcharge.graph import build_action_graph
 from bebcharge.milp import ModelOptions, add_terminal_cost, build_static_model, extract_plan
+from bebcharge.receding_horizon import _shifted_warm_intervals
 from bebcharge.scenario import GeneratorBounds, discretize, generate_random_scenario
 from bebcharge.solver import (
     SolveLimits,
@@ -27,7 +28,7 @@ from bebcharge.solver import (
 )
 
 from bruteforce import brute_force_best, combo_count
-from helpers import mini_scenario, single_visit_scenario
+from helpers import mini_scenario, single_visit_scenario, two_type_scenario
 from test_milp import feasible_assignment, tiny_model
 
 EXACT = SolveLimits(mip_gap=0.0)
@@ -292,6 +293,27 @@ def test_bnb_respects_charger_capacity():
 # warm starts
 
 
+def fixed_integer_bounds(model, ws):
+    lb, ub = model.bound_arrays()
+    int_idx = model.integer_indices()
+    lb, ub = lb.copy(), ub.copy()
+    lb[int_idx] = ub[int_idx] = ws[int_idx]
+    return lb, ub
+
+
+def completed_start(model, ws):
+    """The start with its routed flows fixed and the rest optimal, when the
+    root relaxation is fractional (so the search completes it) and the
+    completion validates; else None."""
+    root = solve_lp(model)
+    if root.status != "optimal" or solver._is_integral(root.x, model.integer_indices()):
+        return None
+    completed = solve_lp(model, *fixed_integer_bounds(model, ws))
+    if completed.status != "optimal" or not validate_solution(model, completed.x)["ok"]:
+        return None
+    return completed
+
+
 def test_warm_start_round_trip():
     model = mini_model(4, enforce_final=False, terminal_weight=0.5)
     got = branch_and_bound(model, EXACT)
@@ -299,10 +321,9 @@ def test_warm_start_round_trip():
     plan = extract_plan(model, got.assignment)
     ws = build_warm_start(model, plan.intervals)
     assert ws is not None
-    assert validate_solution(model, ws)["ok"]
     warm = branch_and_bound(model, EXACT, warm_start=ws)
-    assert warm.status == "optimal"
-    assert warm.objective == pytest.approx(got.objective, abs=1e-6)
+    assert warm.status == got.status
+    assert warm.objective == pytest.approx(got.objective, rel=1e-9)
 
 
 def test_warm_start_rejects_unrealizable_intervals():
@@ -320,6 +341,71 @@ def test_warm_start_ignored_when_invalid():
     assert got.status == cold.status
     if got.status == "optimal":
         assert got.objective == pytest.approx(cold.objective, abs=1e-9)
+
+
+def test_warm_start_ignored_when_it_cannot_be_completed():
+    # one bus on both charger types in the same steps: each run routes on its
+    # own sub-graph, but the visit takes one plug-in, so fixing the routed
+    # flows leaves no feasible completion
+    model = build_static_model(build_action_graph(discretize(two_type_scenario(), 5.0)))
+    ws = build_warm_start(model, [("b1", "fast", 7, 8), ("b1", "slow", 7, 8)])
+    assert ws is not None
+    assert solve_lp(model, *fixed_integer_bounds(model, ws)).status == "infeasible"
+    got = branch_and_bound(model, EXACT, warm_start=ws)
+    cold = branch_and_bound(model, EXACT)
+    assert (got.status, got.objective, got.nodes_explored) == (
+        cold.status, cold.objective, cold.nodes_explored
+    )
+    assert np.array_equal(got.assignment, cold.assignment)
+
+
+def shifted_warm_start(seed, shift, soft_terminal):
+    """The model of a window ``shift`` quarter-hours into a mini day, and the
+    day plan's charging runs shifted into it, as the controller shifts its
+    previous plan."""
+    scenario = mini_scenario(seed)
+    options = ModelOptions(enforce_final_soc=not soft_terminal)
+    targets = {b.id: 0.7 * b.capacity_kwh for b in scenario.buses}
+
+    def model_from(t0):
+        inst = discretize(scenario, 5.0, t0_min=t0)
+        model = build_static_model(build_action_graph(inst), options)
+        return add_terminal_cost(model, targets, 0.5) if soft_terminal else model
+
+    day = model_from(None)
+    day_sol = branch_and_bound(day, EXACT)
+    if not day_sol.has_solution:
+        return None, None
+    plan = extract_plan(day, day_sol.assignment)
+    t0 = scenario.day_start_min + 15 * shift
+    model = model_from(t0)
+    intervals = _shifted_warm_intervals(plan, t0, 5.0, model.instance.n_steps)
+    return model, build_warm_start(model, intervals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 40),
+    shift=st.integers(0, 3),
+    soft_terminal=st.booleans(),
+)
+def test_warm_start_keeps_the_cold_optimum(seed, shift, soft_terminal):
+    model, ws = shifted_warm_start(seed, shift, soft_terminal)
+    assume(ws is not None)
+    cold = branch_and_bound(model, EXACT)
+    lines = []
+    warm = branch_and_bound(model, EXACT, warm_start=ws, on_improvement=lines.append)
+    assert warm.status == cold.status
+    if cold.has_solution:
+        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
+        assert validate_solution(model, warm.assignment)["ok"]
+    completed = completed_start(model, ws)
+    event("start completed" if completed is not None else "start not used")
+    if completed is not None:
+        # the completed start is the first incumbent, logged after the root
+        first = lines[0].split(",")
+        assert int(first[1]) == 1
+        assert float(first[2]) == pytest.approx(completed.objective, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +451,18 @@ def test_improvement_log_lines():
 
 
 def test_improvement_log_reports_warm_start():
-    model = mini_model(4, enforce_final=False, terminal_weight=0.5)
-    base = branch_and_bound(model, EXACT)
-    plan = extract_plan(model, base.assignment)
-    ws = build_warm_start(model, plan.intervals)
+    # a window whose root is fractional and whose shifted day plan completes
+    # to a schedule dearer than the root bound
+    model, ws = shifted_warm_start(11, 0, False)
+    completed = completed_start(model, ws)
+    assert completed is not None
+    assert completed.objective > solve_lp(model).objective + 1.0
     lines = []
     branch_and_bound(model, EXACT, warm_start=ws, on_improvement=lines.append)
     first = lines[0].split(",")
-    assert int(first[1]) <= 1  # logged at the root, before any branching
-    assert float(first[2]) == pytest.approx(
-        float(model.objective_vector() @ ws), rel=1e-9
-    )
+    assert int(first[1]) == 1  # logged after the root, before any branching
+    # the completed start, to the log's nine significant digits
+    assert float(first[2]) == pytest.approx(completed.objective, rel=1e-8)
 
 
 def test_infeasible_when_target_unreachable():
