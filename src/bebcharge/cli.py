@@ -105,7 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plan = sub.add_parser("plan", help="solve the static day schedule")
     plan.add_argument("--scenario", required=True)
     plan.add_argument("--out-dir", required=True)
-    plan.add_argument("--seed", type=int, default=0)
     add_solve_flags(plan)
     plan.add_argument("--fixed-rate", action="store_true",
                       help="force full-rate charging whenever plugged in")

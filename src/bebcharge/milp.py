@@ -36,8 +36,9 @@ value) entries plus row bounds, and all of them go into ``A`` in one step.
 Names are made only when asked for: row names, column tags and the
 ``MilpModel.variables`` / ``MilpModel.constraints`` views (for LP export and
 inspection) are built on first use.  The solver, the residual report, plan
-extraction, warm starts and the appending helpers (:func:`add_terminal_cost`,
-:func:`lock_charged_visits`) work on the arrays alone.
+extraction, the routing of charging runs and the appending helpers
+(:func:`add_terminal_cost`, :func:`lock_charged_visits`) work on the arrays
+alone.
 """
 
 from __future__ import annotations

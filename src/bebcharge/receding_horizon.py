@@ -3,8 +3,9 @@
 A slow day-ahead plan (any :class:`~bebcharge.milp.ChargePlan`) provides the
 strategic shape of the day; a fast inner loop re-solves a short-horizon MILP
 every few minutes from the *realized* state and executes only the first step
-through the stochastic truth environment.  Consistency between iterations
-comes from four mechanisms:
+through the stochastic truth environment.  Each window reuses the day
+planner's graph, model and branch and bound; consistency between iterations
+comes from three mechanisms:
 
 * **terminal attraction** - each horizon's final charge levels are pulled
   toward the reference plan's levels at that wall-clock time via a weighted
@@ -14,12 +15,7 @@ comes from four mechanisms:
   for re-entry, while a source-side continuation edge lets an in-progress
   charge carry across the boundary (the charger stays attached);
 * **plan preference** - edges consistent with the previous iteration's plan
-  get a tiny objective bonus, so near-ties don't oscillate between solves;
-* **warm starting** - the previous plan's charging runs, shifted one step
-  and routed through the new window's action graph, fix the search's integer
-  columns; when the root relaxation is fractional, one LP on the search's
-  own model completes the rest, and the result seeds the branch-and-bound
-  incumbent when it is feasible.
+  get a tiny objective bonus, so near-ties don't oscillate between solves.
 
 Demand-charge continuity across solves comes from feeding each model the
 realized per-step meter energy just before its window, so sliding-window
@@ -50,13 +46,7 @@ from .milp import (
 )
 from .scenario import Scenario, discretize
 from .simulation import TRUTH_DELTA_MIN, TruthEnvironment
-from .solver import (
-    MilpSolution,
-    SolveLimits,
-    SolverError,
-    branch_and_bound,
-    build_warm_start,
-)
+from .solver import MilpSolution, SolveLimits, SolverError, branch_and_bound
 
 
 @dataclass(frozen=True)
@@ -156,21 +146,6 @@ class PlanOutcome:
     window_kw0: float
 
 
-def _shifted_warm_intervals(
-    previous_plan: ChargePlan, t_min: float, delta_rh: float, n_steps: int
-) -> Optional[List[Tuple[str, str, int, int]]]:
-    if abs(previous_plan.delta_min - delta_rh) > 1e-9:
-        return None
-    shift = int(round((t_min - previous_plan.t0_min) / delta_rh))
-    out: List[Tuple[str, str, int, int]] = []
-    for bus_id, tid, k0, k1 in previous_plan.intervals:
-        a, b = k0 - shift, k1 - shift
-        if b <= 0:
-            continue
-        out.append((bus_id, tid, max(a, 0), min(b, n_steps)))
-    return out
-
-
 def _build_horizon_model(
     scenario: Scenario,
     reference: ChargePlan,
@@ -213,27 +188,20 @@ def plan_horizon(
 ) -> PlanOutcome:
     """Solve one horizon window from the current closed-loop state.
 
-    A hard-banded model is tried first, warm-started from the previous plan
-    when its charging runs still route in this window; on infeasibility (or
-    a node limit with no incumbent) the model is rebuilt with soft
-    minimum-level slacks at ``soft_min_weight_factor`` times the terminal
-    weight.  A solver
+    A hard-banded model is tried first; on infeasibility (or a node limit
+    with no incumbent) the model is rebuilt with soft minimum-level slacks
+    at ``soft_min_weight_factor`` times the terminal weight.  A solver
     breakdown inside one window (an LP backend numerical failure) degrades to
-    the same fallback path instead of aborting the day.
+    the same fallback path instead of aborting the day.  The previous plan
+    reaches the solve only through the plan-preference edge costs; a
+    fractional root gets its first incumbent from the search's own LP-guided
+    heuristic, as day plans do.
     """
 
     def attempt(soft_min: bool) -> Tuple[MilpModel, MilpSolution]:
         model = _build_horizon_model(scenario, reference, cfg, state, soft_min)
-        warm = None
-        if state.previous_plan is not None:
-            shifted = _shifted_warm_intervals(
-                state.previous_plan, state.t_min, cfg.delta_rh_minutes,
-                model.instance.n_steps,
-            )
-            if shifted is not None:
-                warm = build_warm_start(model, shifted)
         try:
-            solution = branch_and_bound(model, cfg.limits, warm_start=warm)
+            solution = branch_and_bound(model, cfg.limits)
         except SolverError:
             solution = MilpSolution(
                 "unknown", math.inf, None, -math.inf, 0, math.inf

@@ -693,12 +693,6 @@ class DiscreteInstance:
     def instant_minutes(self, k: int) -> float:
         return self.t0_min + k * self.delta_min
 
-    def bus_index(self, bus_id: str) -> int:
-        for i, b in enumerate(self.scenario.buses):
-            if b.id == bus_id:
-                return i
-        raise KeyError(bus_id)
-
     def charging_types_at(self, bus_id: str, k: int) -> Tuple[str, ...]:
         """Charger types available to a bus during step k (empty if none)."""
         for v in self.visits:

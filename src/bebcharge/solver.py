@@ -9,10 +9,10 @@ changing only the column bounds; each node's answer is exactly the one a
 fresh ``linprog`` call would give, and is trusted on HiGHS' status.  The
 search is written out in full: most-fractional branching with lowest-index
 tie breaks, best-first node selection with depth-first plunging (children
-are solved on creation and the better one is explored immediately),
-incumbent warm starts, and a relative-gap stopping rule.  All choices are
-deterministic so repeated solves of the same model produce byte-identical
-results.
+are solved on creation and the better one is explored immediately), an
+LP-guided primal heuristic for a first incumbent, and a relative-gap
+stopping rule.  All choices are deterministic so repeated solves of the same
+model produce byte-identical results.
 """
 
 from __future__ import annotations
@@ -341,10 +341,9 @@ def validate_solution(model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> Dic
     x = np.asarray(x, dtype=float)
     lhs = model.A @ x
     viol = np.maximum(np.maximum(model.row_lo - lhs, lhs - model.row_hi), 0.0)
-    families = {
-        fam: float(viol[model.row_family == i].max())
-        for i, fam in enumerate(model.families)
-    }
+    family_worst = np.zeros(len(model.families))
+    np.maximum.at(family_worst, model.row_family, viol)
+    families = dict(zip(model.families, family_worst.tolist()))
     worst = float(viol.max(initial=0.0))
     bound_viol = float(
         max(
@@ -411,9 +410,9 @@ def _lp_guided_incumbent(
     relaxation's *energy pattern*: per visit, keep the charger type carrying
     the most LP energy and the step range it uses (widened to the whole visit
     in a second attempt), trim whole intervals against unit counts, lift the
-    survivors to an integral unit routing, then freeze the integer block and
-    re-optimize the continuous block under the true objective.  Every
-    tie-break is deterministic.
+    survivors to an integral unit routing (``build_warm_start``), then freeze
+    the integer block and re-optimize the continuous block under the true
+    objective.  Every tie-break is deterministic.
     """
     gain_tol = 1e-7
 
@@ -469,7 +468,7 @@ def _lp_guided_incumbent(
             for en, bus, tid, k0, k1, vk0, vk1 in candidates
         ]
         kept = trim_to_capacity(runs)
-        routed = _route_interval_flows(
+        routed = build_warm_start(
             model, [(bus, tid, k0, k1) for _, bus, tid, k0, k1 in kept]
         )
         if routed is None:
@@ -501,20 +500,18 @@ def _complete_integers(
 def branch_and_bound(
     model: MilpModel,
     limits: SolveLimits = SolveLimits(),
-    warm_start: Optional[np.ndarray] = None,
     on_improvement: Optional[Callable[[str], None]] = None,
 ) -> MilpSolution:
     """Solve the model to integrality.
 
     An integral root is the optimum.  A fractional one first gets an
-    incumbent, so large parts of the tree prune immediately.  A
-    ``warm_start`` (an assignment whose integer columns are read, such as
-    ``build_warm_start``'s routed flows) is completed on the search's LP:
-    its integer columns are fixed and one node LP places the continuous
-    ones.  The answer becomes the incumbent only when it validates;
-    otherwise the start is ignored rather than trusted, and an LP-guided
-    primal heuristic runs instead, so even node-limited solves usually
-    carry a feasible schedule and a true optimality gap.
+    incumbent from an LP-guided primal heuristic, so large parts of the tree
+    prune immediately and even node-limited solves usually carry a feasible
+    schedule and a true optimality gap.  The heuristic routes charging runs
+    read off the root relaxation (``build_warm_start``), fixes the routed
+    integer columns and places the continuous ones with one node LP on the
+    search's own HiGHS model; the answer becomes the incumbent only when it
+    validates.
 
     ``on_improvement`` receives one CSV line per incumbent improvement,
     ``time_s,nodes,incumbent,bound,gap`` — diagnostics only, never part of
@@ -566,11 +563,7 @@ def branch_and_bound(
 
     # an integral root is the optimum; otherwise seek an incumbent first
     if not _is_integral(root_x, int_idx):
-        if warm_start is not None and np.shape(warm_start) == (model.n_variables,):
-            ws = np.asarray(warm_start, dtype=float)
-            incumbent = _complete_integers(lp, model, lb0, ub0, ws, int_idx)
-        if incumbent is None:
-            incumbent = _lp_guided_incumbent(lp, model, lb0, ub0, root_x, int_idx)
+        incumbent = _lp_guided_incumbent(lp, model, lb0, ub0, root_x, int_idx)
         if incumbent is not None:
             inc_obj = float(model.c @ incumbent)
             note_improvement(root_bound)
@@ -648,23 +641,31 @@ def branch_and_bound(
 
 
 # ---------------------------------------------------------------------------
-# warm starts from a previous plan
+# charging runs to flow columns
 
 
-def _route_interval_flows(
+def build_warm_start(
     model: MilpModel,
-    runs: Sequence[Tuple[str, str, int, int]],
+    intervals: Sequence[Tuple[str, str, int, int]],
 ) -> Optional[np.ndarray]:
-    """Set every edge variable of a full-length assignment from charging runs:
-    charge/entering/leaving edges of each run carry one unit, the remaining
-    units ride the rest chain by conservation.  Returns None when a run cannot
-    be realized (missing edge) or would need more units than exist."""
+    """Lift charging runs ``(bus, charger type, k0, k1)``, in this model's
+    step coordinates, to a full-length assignment of the model's flow
+    columns: each run is clipped to the window; its charge, entering and
+    leaving edges carry one unit; the remaining units ride the rest chain by
+    conservation; every other column is zero.  ``_lp_guided_incumbent``
+    fixes these integer columns and completes the continuous ones on the
+    search's LP.  Returns None when a run cannot be realized (missing edge,
+    unknown charger type) or would need more units than exist.
+    """
     graph = model.graph
     K = model.instance.n_steps
     x = np.zeros(model.n_variables)
 
     known_types = {sub.charger_type_id for sub in graph.subgraphs}
-    for bus_id, tid, k0, k1 in runs:
+    for bus_id, tid, k0, k1 in intervals:
+        k0, k1 = max(k0, 0), min(k1, K)
+        if k1 <= k0:
+            continue
         if tid not in known_types:
             return None
         for k in range(k0, k1):
@@ -715,23 +716,3 @@ def _route_interval_flows(
         if min(rest_flows, default=0.0) < -1e-9:
             return None  # more simultaneous charging than chargers
     return x
-
-
-def build_warm_start(
-    model: MilpModel,
-    intervals: Sequence[Tuple[str, str, int, int]],
-) -> Optional[np.ndarray]:
-    """Lift charging intervals (in this model's step coordinates) to the
-    model's flow columns: each run clipped to the window and routed through
-    the action graph, every other column zero.  ``branch_and_bound`` fixes
-    these integer columns and completes the continuous ones on its own LP.
-    Returns None when a run cannot be routed (missing edge, unknown charger
-    type, more simultaneous runs than units), so callers can solve cold.
-    """
-    K = model.instance.n_steps
-    runs = [
-        (bus_id, tid, max(k0, 0), min(k1, K))
-        for bus_id, tid, k0, k1 in intervals
-        if min(k1, K) > max(k0, 0)
-    ]
-    return _route_interval_flows(model, runs)

@@ -25,7 +25,6 @@ from bebcharge.receding_horizon import (
     plan_horizon,
     run_day,
     save_controller_log_csv,
-    _shifted_warm_intervals,
 )
 from bebcharge.solver import MilpSolution, SolverError
 
@@ -126,7 +125,7 @@ class TestHorizonConfig:
 
 
 # ---------------------------------------------------------------------------
-# reference interpolation and warm-start shifting
+# reference interpolation
 
 
 class TestReferenceInterpolation:
@@ -165,20 +164,6 @@ def fake_plan(intervals, t0=327.0, delta=3.0, n_steps=20):
         objective_value=0.0,
         cost_breakdown={},
     )
-
-
-class TestWarmShift:
-    def test_grid_mismatch_returns_none(self):
-        prev = fake_plan([("b1", "fast", 1, 6)], delta=5.0)
-        assert _shifted_warm_intervals(prev, 330.0, 3.0, 20) is None
-
-    def test_shift_clip_and_drop(self):
-        prev = fake_plan(
-            [("b1", "fast", 1, 6), ("b2", "slow", 0, 1), ("b3", "fast", 18, 20)]
-        )
-        out = _shifted_warm_intervals(prev, 330.0, 3.0, 18)
-        # one step elapsed: starts move down one, expired drop, long ones clip
-        assert out == [("b1", "fast", 0, 5), ("b3", "fast", 17, 18)]
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +225,9 @@ class TestPlanHorizon:
         real = receding_horizon.branch_and_bound
         soft_solves = []
 
-        def failing_hard(model, limits, warm_start=None):
+        def failing_hard(model, limits):
             if model.options.soft_min_soc:
-                sol = real(model, limits, warm_start=warm_start)
+                sol = real(model, limits)
                 soft_solves.append((model, sol))
                 return sol
             if failure == "raises":

@@ -1,12 +1,12 @@
 """Solver tests: certified LP relaxations, node LPs against linprog, branch
-and bound against the exhaustive oracle, warm starts, limits, and
-determinism."""
+and bound against the exhaustive oracle, routing charging runs to flows, the
+primal heuristic, limits, and determinism."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
@@ -16,7 +16,6 @@ from bebcharge import solver
 from bebcharge.benchmarks import four_bus_day
 from bebcharge.graph import build_action_graph
 from bebcharge.milp import ModelOptions, add_terminal_cost, build_static_model, extract_plan
-from bebcharge.receding_horizon import _shifted_warm_intervals
 from bebcharge.scenario import GeneratorBounds, discretize, generate_random_scenario
 from bebcharge.solver import (
     SolveLimits,
@@ -290,7 +289,7 @@ def test_bnb_respects_charger_capacity():
 
 
 # ---------------------------------------------------------------------------
-# warm starts
+# routing charging runs to flow columns
 
 
 def fixed_integer_bounds(model, ws):
@@ -301,31 +300,6 @@ def fixed_integer_bounds(model, ws):
     return lb, ub
 
 
-def completed_start(model, ws):
-    """The start with its routed flows fixed and the rest optimal, when the
-    root relaxation is fractional (so the search completes it) and the
-    completion validates; else None."""
-    root = solve_lp(model)
-    if root.status != "optimal" or solver._is_integral(root.x, model.integer_indices()):
-        return None
-    completed = solve_lp(model, *fixed_integer_bounds(model, ws))
-    if completed.status != "optimal" or not validate_solution(model, completed.x)["ok"]:
-        return None
-    return completed
-
-
-def test_warm_start_round_trip():
-    model = mini_model(4, enforce_final=False, terminal_weight=0.5)
-    got = branch_and_bound(model, EXACT)
-    assert got.status == "optimal"
-    plan = extract_plan(model, got.assignment)
-    ws = build_warm_start(model, plan.intervals)
-    assert ws is not None
-    warm = branch_and_bound(model, EXACT, warm_start=ws)
-    assert warm.status == got.status
-    assert warm.objective == pytest.approx(got.objective, rel=1e-9)
-
-
 def test_warm_start_rejects_unrealizable_intervals():
     model = mini_model(4, enforce_final=False, terminal_weight=0.5)
     # no such charge step exists at k = 0 (buses start on route)
@@ -333,79 +307,18 @@ def test_warm_start_rejects_unrealizable_intervals():
     assert build_warm_start(model, [("m1", "ghost", 2, 3)]) is None
 
 
-def test_warm_start_ignored_when_invalid():
-    model = mini_model(5, enforce_final=True)
-    bogus = np.full(model.n_variables, 0.5)
-    got = branch_and_bound(model, EXACT, warm_start=bogus)
-    cold = branch_and_bound(model, EXACT)
-    assert got.status == cold.status
-    if got.status == "optimal":
-        assert got.objective == pytest.approx(cold.objective, abs=1e-9)
-
-
 def test_warm_start_ignored_when_it_cannot_be_completed():
     # one bus on both charger types in the same steps: each run routes on its
     # own sub-graph, but the visit takes one plug-in, so fixing the routed
-    # flows leaves no feasible completion
+    # flows leaves no feasible completion, and the completion on the
+    # search's own LP rejects them
     model = build_static_model(build_action_graph(discretize(two_type_scenario(), 5.0)))
     ws = build_warm_start(model, [("b1", "fast", 7, 8), ("b1", "slow", 7, 8)])
     assert ws is not None
     assert solve_lp(model, *fixed_integer_bounds(model, ws)).status == "infeasible"
-    got = branch_and_bound(model, EXACT, warm_start=ws)
-    cold = branch_and_bound(model, EXACT)
-    assert (got.status, got.objective, got.nodes_explored) == (
-        cold.status, cold.objective, cold.nodes_explored
-    )
-    assert np.array_equal(got.assignment, cold.assignment)
-
-
-def shifted_warm_start(seed, shift, soft_terminal):
-    """The model of a window ``shift`` quarter-hours into a mini day, and the
-    day plan's charging runs shifted into it, as the controller shifts its
-    previous plan."""
-    scenario = mini_scenario(seed)
-    options = ModelOptions(enforce_final_soc=not soft_terminal)
-    targets = {b.id: 0.7 * b.capacity_kwh for b in scenario.buses}
-
-    def model_from(t0):
-        inst = discretize(scenario, 5.0, t0_min=t0)
-        model = build_static_model(build_action_graph(inst), options)
-        return add_terminal_cost(model, targets, 0.5) if soft_terminal else model
-
-    day = model_from(None)
-    day_sol = branch_and_bound(day, EXACT)
-    if not day_sol.has_solution:
-        return None, None
-    plan = extract_plan(day, day_sol.assignment)
-    t0 = scenario.day_start_min + 15 * shift
-    model = model_from(t0)
-    intervals = _shifted_warm_intervals(plan, t0, 5.0, model.instance.n_steps)
-    return model, build_warm_start(model, intervals)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 40),
-    shift=st.integers(0, 3),
-    soft_terminal=st.booleans(),
-)
-def test_warm_start_keeps_the_cold_optimum(seed, shift, soft_terminal):
-    model, ws = shifted_warm_start(seed, shift, soft_terminal)
-    assume(ws is not None)
-    cold = branch_and_bound(model, EXACT)
-    lines = []
-    warm = branch_and_bound(model, EXACT, warm_start=ws, on_improvement=lines.append)
-    assert warm.status == cold.status
-    if cold.has_solution:
-        assert warm.objective == pytest.approx(cold.objective, rel=1e-9)
-        assert validate_solution(model, warm.assignment)["ok"]
-    completed = completed_start(model, ws)
-    event("start completed" if completed is not None else "start not used")
-    if completed is not None:
-        # the completed start is the first incumbent, logged after the root
-        first = lines[0].split(",")
-        assert int(first[1]) == 1
-        assert float(first[2]) == pytest.approx(completed.objective, rel=1e-8)
+    lb, ub = model.bound_arrays()
+    lp = solver._NodeLp(model, lb, ub)
+    assert solver._complete_integers(lp, model, lb, ub, ws, model.integer_indices()) is None
 
 
 # ---------------------------------------------------------------------------
@@ -451,17 +364,25 @@ def test_improvement_log_lines():
 
 
 def test_improvement_log_reports_warm_start():
-    # a window whose root is fractional and whose shifted day plan completes
-    # to a schedule dearer than the root bound
-    model, ws = shifted_warm_start(11, 0, False)
-    completed = completed_start(model, ws)
-    assert completed is not None
-    assert completed.objective > solve_lp(model).objective + 1.0
+    # a fractional root whose LP-guided heuristic schedule (runs read off the
+    # root, routed by build_warm_start) costs more than the root bound
+    model = mini_model(10, enforce_final=True)
+    root = solve_lp(model)
+    int_idx = model.integer_indices()
+    assert not solver._is_integral(root.x, int_idx)
+    lb, ub = model.bound_arrays()
+    schedule = solver._lp_guided_incumbent(
+        solver._NodeLp(model, lb, ub), model, lb, ub, root.x, int_idx
+    )
+    assert schedule is not None
+    completed = solve_lp(model, *fixed_integer_bounds(model, schedule))
+    assert completed.status == "optimal"
+    assert completed.objective > root.objective + 1.0
     lines = []
-    branch_and_bound(model, EXACT, warm_start=ws, on_improvement=lines.append)
+    branch_and_bound(model, EXACT, on_improvement=lines.append)
     first = lines[0].split(",")
     assert int(first[1]) == 1  # logged after the root, before any branching
-    # the completed start, to the log's nine significant digits
+    # the heuristic's schedule, to the log's nine significant digits
     assert float(first[2]) == pytest.approx(completed.objective, rel=1e-8)
 
 
