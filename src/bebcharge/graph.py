@@ -20,6 +20,10 @@ charger type at the station.  Restricting the total flow entering a group's
 vertex set from outside to at most one unit enforces "at most one plug-in per
 visit, on at most one charger type"; those entering-edge index sets are also
 how the receding-horizon controller locks visits that already charged.
+:func:`build_action_graph` records every charging run's entering edge by
+(bus, instant, type), so a group is read off that map: the entering edges at
+the visit's instants ``k_start..k_end``, plus the charge step at
+``k_start - 1`` when an adjacent earlier visit's charging runs into this one.
 
 When a horizon starts while a charger is mid-charge, flow must be able to
 enter that bus's first charging vertex directly: ``attachments`` passed to the
@@ -220,7 +224,6 @@ def build_action_graph(
     subgraphs: List[SubGraph] = []
     vertex_offset = 0
     edge_offset = 0
-    global_vertex_of: Dict[Tuple[str, str, int], int] = {}  # (type, bus, k) -> global id
     sigma: Dict[Tuple[str, int, str], int] = {}
     enter_of: Dict[Tuple[str, int, str], int] = {}
     leave_of: Dict[Tuple[str, int, str], int] = {}
@@ -311,10 +314,8 @@ def build_action_graph(
                     )
                 )
         edges.append(Edge("sink", local_of[(None, K)], sink_idx, K, None, capacity=ct.count))
-
-        # dedupe (adjacent visits can propose the same transition twice), then
-        # order deterministically by (tail, head)
-        edges = sorted(set(edges), key=lambda e: (e.tail, e.head, e.kind))
+        # every edge is keyed by its own (bus, step) or instant, so none repeats
+        edges.sort(key=lambda e: (e.tail, e.head, e.kind))
 
         sub = SubGraph(
             charger_type_id=ct.id,
@@ -324,9 +325,6 @@ def build_action_graph(
             vertex_offset=vertex_offset,
             edge_offset=edge_offset,
         )
-        for (bus_id, k), local in local_of.items():
-            if bus_id is not None:
-                global_vertex_of[(ct.id, bus_id, k)] = vertex_offset + local
         for i, e in enumerate(sub.edges):
             if e.kind == "charge":
                 sigma[(e.bus_id, e.k_from, ct.id)] = edge_offset + i
@@ -341,25 +339,19 @@ def build_action_graph(
         vertex_offset += sub.n_vertices
         edge_offset += sub.n_edges
 
-    # visit groups across charger types
+    # visit groups across charger types, read off the run-entry map: a run's
+    # entering edge at any instant k_start..k_end, plus the charge step of an
+    # earlier visit that runs into this one at k_start
     groups: List[VisitGroup] = []
-    for visit in instance.visits:
-        vids: Set[int] = set()
-        for tid in visit.charger_type_ids:
-            for k in range(visit.k_start, visit.k_end + 1):
-                gid = global_vertex_of.get((tid, visit.bus_id, k))
-                if gid is not None:
-                    vids.add(gid)
-        entering: List[int] = []
-        for sub in subgraphs:
-            if sub.charger_type_id not in visit.charger_type_ids:
-                continue
-            for i, e in enumerate(sub.edges):
-                head_gid = sub.vertex_offset + e.head
-                tail_gid = sub.vertex_offset + e.tail
-                if head_gid in vids and tail_gid not in vids:
-                    entering.append(sub.edge_offset + i)
-        groups.append(VisitGroup(visit=visit, entering_edges=tuple(sorted(entering))))
+    for v in instance.visits:
+        entering: Set[Optional[int]] = set()
+        for tid in v.charger_type_ids:
+            entering.add(sigma.get((v.bus_id, v.k_start - 1, tid)))
+            entering.update(
+                enter_of.get((v.bus_id, k, tid)) for k in range(v.k_start, v.k_end + 1)
+            )
+        entering.discard(None)
+        groups.append(VisitGroup(visit=v, entering_edges=tuple(sorted(entering))))
 
     n_edges = edge_offset
     return ActionGraph(

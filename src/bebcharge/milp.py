@@ -64,6 +64,7 @@ __all__ = [
     "MilpModel",
     "ChargePlan",
     "COLUMN_ROLES",
+    "SOC_BUFFER",
     "build_static_model",
     "add_terminal_cost",
     "lock_charged_visits",
@@ -78,6 +79,9 @@ COLUMN_ROLES = (
     "flow", "soc", "gain", "energy", "window_power", "peak", "peak_tou",
     "soc_slack", "terminal_err",
 )
+
+# the usable charge band is narrowed by this share of capacity from both sides
+SOC_BUFFER = 0.05
 
 
 @dataclass(frozen=True)
@@ -111,8 +115,7 @@ class LinearConstraint:
 class ModelOptions:
     """Model-shape switches.
 
-    ``soc_buffer`` narrows the usable SOC band from both sides (fraction of
-    capacity).  ``fixed_rate`` forces full-rate charging whenever plugged in;
+    ``fixed_rate`` forces full-rate charging whenever plugged in;
     ``linear_profile`` keeps variable-rate charging but drops the CV taper row.
     ``initial_soc_kwh`` overrides per-bus starting levels (receding horizon
     state); ``enforce_final_soc`` pins the last instant to the bus's final SOC
@@ -122,7 +125,6 @@ class ModelOptions:
 
     fixed_rate: bool = False
     linear_profile: bool = False
-    soc_buffer: float = 0.05
     enforce_final_soc: bool = True
     initial_soc_kwh: Optional[Dict[str, float]] = None
     energy_history: Tuple[float, ...] = ()
@@ -145,6 +147,12 @@ class MilpModel:
     bounds, a one-sided row an infinite other bound.  ``row_family`` (an
     index into ``families``) labels the rows.  Every array is read-only.
 
+    The flow block comes first, in edge order, so flow column j is action
+    graph edge j: edge ids index the columns directly.  ``s_of`` and
+    ``g_of`` map (bus, instant) and (bus, step, charger type) keys to their
+    columns; ``e_of[k]`` and ``p_of[k]`` are the read-only arrays of the
+    energy column of step k and the window-power column of instant k.
+
     Names are made on first use.  ``columns`` holds each column's (name,
     role, bus, step, charger type) and ``row_names`` each row's name; each
     assembled block contributes one function to ``column_labels`` or
@@ -166,11 +174,10 @@ class MilpModel:
     row_labels: Tuple[Callable[[], List[str]], ...]
     graph: ActionGraph
     options: ModelOptions
-    x_of: Dict[int, int]
     s_of: Dict[Tuple[str, int], int]
     g_of: Dict[Tuple[str, int, str], int]
-    e_of: Dict[int, int]
-    p_of: Dict[int, int]
+    e_of: np.ndarray
+    p_of: np.ndarray
     peak_idx: int
     peak_tou_idx: int
     err_of: Dict[str, int] = field(default_factory=dict)
@@ -222,19 +229,6 @@ class MilpModel:
                 family=self.families[self.row_family[r]],
             ))
         return tuple(out)
-
-    def objective_vector(self) -> np.ndarray:
-        return self.c
-
-    def bound_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.lb, self.ub
-
-    @cached_property
-    def _integer_indices(self) -> np.ndarray:
-        return _frozen(np.flatnonzero(self.integer))
-
-    def integer_indices(self) -> np.ndarray:
-        return self._integer_indices
 
     def columns_of(self, *roles: str) -> np.ndarray:
         """Indices of the columns with any of these roles, ascending."""
@@ -429,14 +423,13 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     n_bus = len(buses)
     form = _Assembly()
 
-    # --- flow variables, one per edge --------------------------------------
-    x = form.cols(
+    # --- flow variables, one per edge: column j is edge j ------------------
+    form.cols(
         graph.n_edges, 0.0, graph.edge_capacities(), graph.edge_costs, "flow",
         lambda: [(f"x{gid}", "flow", e.bus_id, e.k_from, sub.charger_type_id)
                  for gid, sub, e in graph.iter_edges()],
         integer=True,
     )
-    x_of = dict(enumerate(x.tolist()))
 
     # --- charge levels, bus by bus over instants 0..K -------------------------
     initial = options.initial_soc_kwh or {}
@@ -445,8 +438,8 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     s_ub = np.empty((n_bus, K + 1))
     for j, bus in enumerate(buses):
         cap = bus.capacity_kwh
-        lo = (bus.min_soc + options.soc_buffer) * cap
-        hi = (bus.max_soc - options.soc_buffer) * cap
+        lo = (bus.min_soc + SOC_BUFFER) * cap
+        hi = (bus.max_soc - SOC_BUFFER) * cap
         if hi <= lo:
             raise ValueError(f"bus {bus.id}: SOC buffer leaves an empty band")
         band_lo[j] = lo
@@ -503,7 +496,7 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     flow = [incidence_entries(sub) for sub in subs]
     form.rows(
         "flow", *_bounds("==", _concat(map(flow_rhs, subs), float)),
-        [(sub.vertex_offset + vertex, x[sub.edge_offset + edge], sign)
+        [(sub.vertex_offset + vertex, sub.edge_offset + edge, sign)
          for sub, (vertex, edge, sign) in zip(subs, flow)],
         lambda: _names(
             ("flow", sub.charger_type_id, v) for sub in subs for v in range(sub.n_vertices)
@@ -514,7 +507,7 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     entering = [grp.entering_edges for grp in graph.groups]
     form.rows(
         "group", *_bounds("<=", np.ones(len(entering))),
-        [(_ragged([len(ids) for ids in entering]), x[_concat(entering, np.int64)], 1.0)],
+        [(_ragged([len(ids) for ids in entering]), _concat(entering, np.int64), 1.0)],
         lambda: _names(("group", grp.visit.id) for grp in graph.groups),
     )
 
@@ -561,7 +554,7 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     b_cc, a_cv, b_cv, cap = np.array(
         [params[(bus_id, tid)] for bus_id, _, tid in g_keys], dtype=float
     ).reshape(-1, 4).T
-    edge = x[np.array([graph.sigma[key] for key in g_keys], dtype=np.int64)]
+    edge = np.array([graph.sigma[key] for key in g_keys], dtype=np.int64)
     n_g, r = len(g_keys), len(gain_rows)
     first = np.arange(n_g) * r
     lo = np.full(n_g * r, -math.inf)
@@ -650,11 +643,10 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
         **form.fields(),
         graph=graph,
         options=options,
-        x_of=x_of,
         s_of=s_of,
         g_of=g_of,
-        e_of=dict(enumerate(e.tolist())),
-        p_of=dict(enumerate(p.tolist())),
+        e_of=_frozen(e),
+        p_of=_frozen(p),
         peak_idx=peak_idx,
         peak_tou_idx=peak_tou_idx,
         window_m=m,
@@ -706,7 +698,7 @@ def lock_charged_visits(model: MilpModel, charged_visit_ids: Iterable[str]) -> M
     graph = model.graph
     locked = [grp for grp in graph.groups if grp.visit.id in charged]
     cols = [
-        [model.x_of[gid] for gid in grp.entering_edges if graph.edge(gid).kind != "source"]
+        [gid for gid in grp.entering_edges if graph.edge(gid).kind != "source"]
         for grp in locked
     ]
     form = _Assembly(model)
@@ -886,7 +878,7 @@ def extract_plan(
 
     charging: Dict[Tuple[str, str], List[int]] = {}
     for (bus_id, k, tid), gid in model.graph.sigma.items():
-        if x[model.x_of[gid]] > 0.5:
+        if x[gid] > 0.5:
             charging.setdefault((bus_id, tid), []).append(k)
     intervals: List[Tuple[str, str, int, int]] = []
     for (bus_id, tid), ks in charging.items():
@@ -906,7 +898,7 @@ def extract_plan(
         bus.id: np.array([x[model.s_of[(bus.id, k)]] for k in range(K + 1)])
         for bus in scenario.buses
     }
-    step_energy = np.array([x[model.e_of[k]] for k in range(K)])
+    step_energy = x[model.e_of]
 
     consumption = float(
         sum(inst.step_rate[k] * g for (bus_id, k, tid), g in gains.items())
@@ -929,7 +921,7 @@ def extract_plan(
     for obj, x_i in zip(model.c[aux].tolist(), x[aux]):
         if obj != 0.0:
             auxiliary += obj * x_i
-    objective = float(model.objective_vector() @ x)
+    objective = float(model.c @ x)
     recomputed = consumption + demand_base + demand_tou + auxiliary
     if status != "infeasible" and abs(recomputed - objective) > 1e-6:
         raise ValueError(

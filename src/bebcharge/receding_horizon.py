@@ -48,6 +48,10 @@ from .scenario import Scenario, discretize
 from .simulation import TRUTH_DELTA_MIN, TruthEnvironment
 from .solver import MilpSolution, SolveLimits, SolverError, branch_and_bound
 
+# the soft minimum-level fallback prices each kWh of slack at this multiple
+# of the terminal weight
+SOFT_MIN_WEIGHT_FACTOR = 100.0
+
 
 @dataclass(frozen=True)
 class HorizonConfig:
@@ -75,7 +79,6 @@ class HorizonConfig:
     terminal_weight: Optional[float] = None
     preference_bonus: Optional[float] = None
     limits: SolveLimits = SolveLimits(max_nodes=2000, mip_gap=0.0)
-    soft_min_weight_factor: float = 100.0
 
     def __post_init__(self) -> None:
         if self.delta_rh_minutes <= 0:
@@ -170,7 +173,7 @@ def _build_horizon_model(
         initial_soc_kwh=dict(state.soc_kwh),
         energy_history=state.energy_history,
         soft_min_soc=soft_min,
-        soft_min_weight=cfg.soft_min_weight_factor * weight if soft_min else 0.0,
+        soft_min_weight=SOFT_MIN_WEIGHT_FACTOR * weight if soft_min else 0.0,
     )
     model = build_static_model(graph, options)
     targets = interpolate_reference_soc(reference, t_end)
@@ -190,7 +193,7 @@ def plan_horizon(
 
     A hard-banded model is tried first; on infeasibility (or a node limit
     with no incumbent) the model is rebuilt with soft minimum-level slacks
-    at ``soft_min_weight_factor`` times the terminal weight.  A solver
+    at ``SOFT_MIN_WEIGHT_FACTOR`` times the terminal weight.  A solver
     breakdown inside one window (an LP backend numerical failure) degrades to
     the same fallback path instead of aborting the day.  The previous plan
     reaches the solve only through the plan-preference edge costs; a

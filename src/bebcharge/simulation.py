@@ -60,6 +60,9 @@ from .solver import MilpSolution, SolveLimits, branch_and_bound
 
 TRUTH_DELTA_MIN = 1.0
 
+# the reactive heuristic queues a bus arriving below this share of capacity
+QIN_THRESHOLD = 0.7
+
 SeedLike = Union[int, np.random.SeedSequence]
 
 
@@ -368,16 +371,10 @@ class TruthEnvironment:
     def done(self) -> bool:
         return self._k >= self.n_steps
 
-    def instant_minutes(self) -> np.ndarray:
-        return self.t0_min + TRUTH_DELTA_MIN * np.arange(self.n_steps + 1)
-
-    def presence_hours(self, bus_id: str, k: int) -> float:
-        return self._buses[self._bus_index[bus_id]].presence_hours[k]
-
     def visit_at(self, bus_id: str, k: int) -> Optional["_VisitSpan"]:
         return self._buses[self._bus_index[bus_id]].visits[k]
 
-    def bus(self, bus_id: str) -> "Bus":
+    def bus(self, bus_id: str) -> Bus:
         return self._bus_by_id[bus_id]
 
     def charger(self, type_id: str) -> ChargerType:
@@ -594,9 +591,8 @@ class _QinController:
     Queueing and hand-offs happen at whole-minute boundaries.
     """
 
-    def __init__(self, env: TruthEnvironment, threshold: float = 0.7) -> None:
+    def __init__(self, env: TruthEnvironment) -> None:
         self.env = env
-        self.threshold = threshold
         self.free = {ct.id: ct.count for ct in env.scenario.charger_types}
         self.connected: Dict[str, str] = {}
         self.queue: List[Tuple[float, str]] = []
@@ -623,7 +619,7 @@ class _QinController:
                 continue
             if span.arrival_min <= t + 1e-9:
                 self._seen_visits.add(span.id)
-                if env.soc[bus.id] < self.threshold * bus.capacity_kwh:
+                if env.soc[bus.id] < QIN_THRESHOLD * bus.capacity_kwh:
                     self.queue.append((span.arrival_min, bus.id))
                     self.queue.sort()
 
@@ -634,7 +630,7 @@ class _QinController:
             bus = env.bus(bus_id)
             if span is None:
                 continue  # departed while waiting
-            if env.soc[bus_id] >= self.threshold * bus.capacity_kwh:
+            if env.soc[bus_id] >= QIN_THRESHOLD * bus.capacity_kwh:
                 continue  # no longer below threshold
             options = sorted(
                 (ct_id for ct_id in span.charger_type_ids if self.free[ct_id] > 0),
@@ -742,11 +738,10 @@ def _finalize_run(
     )
 
 
-def strategy_qin(
-    env: TruthEnvironment, threshold: float = 0.7
-) -> SimRun:
-    """Run the reactive threshold heuristic to the end of the day."""
-    controller = _QinController(env, threshold)
+def strategy_qin(env: TruthEnvironment) -> SimRun:
+    """Run the reactive threshold heuristic (:data:`QIN_THRESHOLD`) to the
+    end of the day."""
+    controller = _QinController(env)
     while not env.done:
         env.advance(controller.commands())
     return _finalize_run(env, "qin")

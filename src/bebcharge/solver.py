@@ -321,9 +321,8 @@ def solve_lp(
 ) -> LpResult:
     """Solve the continuous relaxation, optionally under tightened bounds."""
     mats = _Matrices(model)
-    lb0, ub0 = model.bound_arrays()
-    lb = lb0 if lb is None else np.asarray(lb, dtype=float)
-    ub = ub0 if ub is None else np.asarray(ub, dtype=float)
+    lb = model.lb if lb is None else np.asarray(lb, dtype=float)
+    ub = model.ub if ub is None else np.asarray(ub, dtype=float)
     res = mats.solve(lb, ub)
     if res.status == 2:
         return LpResult("infeasible", math.inf, None, False)
@@ -351,7 +350,7 @@ def validate_solution(model: MilpModel, x: np.ndarray, tol: float = 1e-6) -> Dic
             np.maximum(x - model.ub, 0.0).max(initial=0.0),
         )
     )
-    int_idx = model.integer_indices()
+    int_idx = np.flatnonzero(model.integer)
     int_viol = float(np.abs(x[int_idx] - np.round(x[int_idx])).max(initial=0.0))
     return {
         "families": families,
@@ -517,9 +516,9 @@ def branch_and_bound(
     ``time_s,nodes,incumbent,bound,gap`` — diagnostics only, never part of
     solve results (wall time is not deterministic).
     """
-    lb0, ub0 = model.bound_arrays()
+    lb0, ub0 = model.lb, model.ub
     lp = _NodeLp(model, lb0, ub0)
-    int_idx = model.integer_indices()
+    int_idx = np.flatnonzero(model.integer)
     t0 = time.monotonic()
 
     incumbent: Optional[np.ndarray] = None
@@ -650,7 +649,7 @@ def build_warm_start(
 ) -> Optional[np.ndarray]:
     """Lift charging runs ``(bus, charger type, k0, k1)``, in this model's
     step coordinates, to a full-length assignment of the model's flow
-    columns: each run is clipped to the window; its charge, entering and
+    columns (column j is edge j): each run is clipped to the window; its charge, entering and
     leaving edges carry one unit; the remaining units ride the rest chain by
     conservation; every other column is zero.  ``_lp_guided_incumbent``
     fixes these integer columns and completes the continuous ones on the
@@ -672,21 +671,21 @@ def build_warm_start(
             gid = graph.sigma.get((bus_id, k, tid))
             if gid is None:
                 return None
-            x[model.x_of[gid]] = 1.0
+            x[gid] = 1.0
         # one unit must enter before the run and leave after it
         enter_gid = graph.enter_of.get((bus_id, k0, tid))
         leave_gid = graph.leave_of.get((bus_id, k1, tid))
         if enter_gid is None or leave_gid is None:
             return None
-        x[model.x_of[enter_gid]] = 1.0
-        x[model.x_of[leave_gid]] = 1.0
+        x[enter_gid] = 1.0
+        x[leave_gid] = 1.0
 
     for sub in graph.subgraphs:
         busy = np.zeros(K, dtype=float)
         continuation = 0.0
         exits_at_end = 0.0
         for i, e in enumerate(sub.edges):
-            val = x[model.x_of[sub.edge_offset + i]]
+            val = x[sub.edge_offset + i]
             if val == 0.0 or e.bus_id is None:
                 continue
             if e.kind == "source":
@@ -699,17 +698,17 @@ def build_warm_start(
         if source_rest < -1e-9:
             return None
         for i, e in enumerate(sub.edges):
-            vid = model.x_of[sub.edge_offset + i]
+            gid = sub.edge_offset + i
             if e.bus_id is not None:
                 continue
             if e.kind == "source":
-                x[vid] = source_rest
+                x[gid] = source_rest
             elif e.kind == "rest":
-                x[vid] = sub.count - busy[e.k_from]
+                x[gid] = sub.count - busy[e.k_from]
             elif e.kind == "sink":
-                x[vid] = sub.count - exits_at_end
+                x[gid] = sub.count - exits_at_end
         rest_flows = [
-            x[model.x_of[sub.edge_offset + i]]
+            x[sub.edge_offset + i]
             for i, e in enumerate(sub.edges)
             if e.bus_id is None
         ]

@@ -63,12 +63,11 @@ def brute_force_best(model, attachments=()):
     attachments = set(attachments)
     per_visit = [visit_run_options(v, n_steps, attachments) for v in visits]
 
-    lb0, ub0 = model.bound_arrays()
     best = (math.inf, None)
     for combo in itertools.product(*per_visit):
         if not combo_capacity_ok(combo, visits, counts, n_steps):
             continue
-        lb, ub = lb0.copy(), ub0.copy()
+        lb, ub = model.lb.copy(), model.ub.copy()
         chosen = {}
         for visit, run in zip(visits, combo):
             if run is None:
@@ -77,9 +76,7 @@ def brute_force_best(model, attachments=()):
             for k in range(a, b):
                 chosen[(visit.bus_id, k, tid)] = True
         for key, gid in model.graph.sigma.items():
-            idx = model.x_of[gid]
-            val = 1.0 if key in chosen else 0.0
-            lb[idx] = ub[idx] = val
+            lb[gid] = ub[gid] = 1.0 if key in chosen else 0.0
         res = solve_lp(model, lb, ub)
         if res.status == "optimal" and res.objective < best[0] - 1e-12:
             best = (res.objective, combo)

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from bebcharge.graph import flow_rhs, incidence_matrix
-from bebcharge.milp import _window_shape, pair_discrete_params
+from bebcharge.milp import SOC_BUFFER, _window_shape, pair_discrete_params
 
 
 def _lp_name(raw):
@@ -105,8 +105,8 @@ def reference_model(graph, options):
     s_of = {}
     for bus in scenario.buses:
         cap = bus.capacity_kwh
-        lo = (bus.min_soc + options.soc_buffer) * cap
-        hi = (bus.max_soc - options.soc_buffer) * cap
+        lo = (bus.min_soc + SOC_BUFFER) * cap
+        hi = (bus.max_soc - SOC_BUFFER) * cap
         if hi <= lo:
             raise ValueError(f"bus {bus.id}: SOC buffer leaves an empty band")
         soft_lo = 0.0 if options.soft_min_soc else lo
@@ -238,7 +238,7 @@ def reference_model(graph, options):
     if options.soft_min_soc:
         for bus in scenario.buses:
             cap = bus.capacity_kwh
-            lo = (bus.min_soc + options.soc_buffer) * cap
+            lo = (bus.min_soc + SOC_BUFFER) * cap
             for k in range(1, K + 1):
                 form.row(
                     f"softmin_{_lp_name(bus.id)}_{k}", "soft_min",

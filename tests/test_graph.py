@@ -16,7 +16,8 @@ from bebcharge.graph import (
     flow_rhs,
     incidence_matrix,
 )
-from bebcharge.scenario import discretize
+from bebcharge.benchmarks import four_bus_day
+from bebcharge.scenario import GeneratorBounds, discretize, generate_random_scenario
 
 from helpers import single_visit_scenario, two_type_scenario
 
@@ -164,6 +165,101 @@ def test_run_edges_match_an_edge_scan(inst, attachments):
         assert (bus_id, k, tid) in graph.enter_of or (k == 0 and not attachments)
     pref = apply_plan_preference(graph, [0], 0.5)
     assert (pref.enter_of, pref.leave_of) == (graph.enter_of, graph.leave_of)
+
+
+def visit_group_scan(graph):
+    """The per-visit edge scan the groups replaced, kept as the reference:
+    a visit's vertex set is its bus's charging vertices at instants
+    k_start..k_end of its charger types, and its entering edges are the edges
+    of those types' sub-graphs with the head inside the set and the tail
+    outside, by edge id."""
+    vertex_of = {}
+    for sub in graph.subgraphs:
+        for local, v in enumerate(sub.vertices):
+            if v.kind == "charge":
+                vertex_of[(sub.charger_type_id, v.bus_id, v.k)] = sub.vertex_offset + local
+    groups = []
+    for visit in graph.instance.visits:
+        keys = [(tid, visit.bus_id, k) for tid in visit.charger_type_ids
+                for k in range(visit.k_start, visit.k_end + 1)]
+        vids = {vertex_of[key] for key in keys if key in vertex_of}
+        entering = []
+        for sub in graph.subgraphs:
+            if sub.charger_type_id not in visit.charger_type_ids:
+                continue
+            for i, e in enumerate(sub.edges):
+                if (sub.vertex_offset + e.head in vids
+                        and sub.vertex_offset + e.tail not in vids):
+                    entering.append(sub.edge_offset + i)
+        groups.append((visit, tuple(sorted(entering))))
+    return groups
+
+
+def generated_days():
+    for n_buses in (2, 4):
+        for seed in (0, 1):
+            scenario = generate_random_scenario(seed, GeneratorBounds(n_buses=n_buses))
+            for delta in (5.0, 15.0):
+                yield build_action_graph(discretize(scenario, delta))
+
+
+def three_minute_windows(scenario, attached):
+    """Every 3-minute-grid controller window of the day, 60 minutes long;
+    ``attached`` attaches every (bus, charger type) pair at the window start."""
+    pairs = tuple(
+        (b.id, ct.id) for b in scenario.buses for ct in scenario.charger_types
+    ) if attached else ()
+    for t0 in range(scenario.day_start_min, scenario.day_end_min - 2, 3):
+        inst = discretize(scenario, 3.0, t0_min=t0,
+                          t_end_min=min(t0 + 60, scenario.day_end_min))
+        yield build_action_graph(inst, attachments=pairs)
+
+
+def split_station_blocks(scenario):
+    """Each station block of 20 minutes or more as two adjacent blocks, cut
+    on a quarter hour of the day so that the visits meet on 3- and 5-minute
+    grids alike."""
+    buses = []
+    for bus in scenario.buses:
+        blocks = []
+        for block in bus.schedule:
+            cut = (block.start_min + block.end_min) // 2
+            cut -= (cut - scenario.day_start_min) % 15
+            long_stay = block.end_min - block.start_min >= 20 and cut > block.start_min
+            if block.kind == "in_station" and long_stay:
+                blocks.append(dataclasses.replace(block, end_min=cut))
+                blocks.append(dataclasses.replace(block, start_min=cut))
+            else:
+                blocks.append(block)
+        buses.append(dataclasses.replace(bus, schedule=tuple(blocks)))
+    return dataclasses.replace(scenario, buses=tuple(buses))
+
+
+def split_day_graphs():
+    scenario = split_station_blocks(four_bus_day())
+    for delta in (3.0, 5.0):
+        yield build_action_graph(discretize(scenario, delta))
+    yield from three_minute_windows(scenario, attached=True)
+
+
+@pytest.mark.parametrize(
+    "graphs, kinds",
+    [
+        (generated_days, {"transition"}),
+        (lambda: three_minute_windows(four_bus_day(), attached=False), {"transition"}),
+        (lambda: three_minute_windows(four_bus_day(), attached=True),
+         {"transition", "source"}),
+        (split_day_graphs, {"transition", "source", "charge"}),
+    ],
+    ids=["generated_days", "bundled_windows", "bundled_windows_attached", "split_visits"],
+)
+def test_visit_groups_match_a_vertex_set_scan(graphs, kinds):
+    seen = set()
+    for graph in graphs():
+        assert [(grp.visit, grp.entering_edges) for grp in graph.groups] == \
+            visit_group_scan(graph)
+        seen.update(graph.edge(gid).kind for grp in graph.groups for gid in grp.entering_edges)
+    assert seen == kinds
 
 
 def test_attachment_creates_source_continuation_edge():

@@ -120,7 +120,7 @@ def test_gain_rows_match_closed_forms():
     cm = coeff_map(model, big)
     assert cm["g_b1_6_fast"] == 1.0
     # the tie to the charge edge uses pack capacity as the big constant
-    edge_var = model.variables[model.x_of[graph.sigma[("b1", 6, "fast")]]]
+    edge_var = model.variables[graph.sigma[("b1", 6, "fast")]]
     assert cm[edge_var.name] == -200.0
     assert big.rhs == 0.0
 
@@ -170,7 +170,7 @@ def test_fixed_rate_rows():
     assert fix.sense == "=="
     cm = coeff_map(model, fix)
     assert cm["g_b1_6_fast"] == 1.0
-    edge_var = model.variables[model.x_of[graph.sigma[("b1", 6, "fast")]]]
+    edge_var = model.variables[graph.sigma[("b1", 6, "fast")]]
     assert cm[edge_var.name] == pytest.approx(-par.b_bar_cc)
 
 
@@ -307,20 +307,11 @@ def test_lock_excludes_continuation_edges():
     lock = rows(locked, "lock")
     assert len(lock) == 1
     assert lock[0].sense == "<=" and lock[0].rhs == 0.0
-    locked_edge_kinds = {
-        locked.graph.edge(_gid_of(locked, i)).kind for i, _ in lock[0].coeffs
-    }
+    locked_edge_kinds = {locked.graph.edge(i).kind for i, _ in lock[0].coeffs}
     assert "source" not in locked_edge_kinds
     assert locked_edge_kinds == {"transition"}
     # unknown ids simply lock nothing
     assert len(rows(lock_charged_visits(model, ["nope"]), "lock")) == 0
-
-
-def _gid_of(model, var_idx):
-    for gid, idx in model.x_of.items():
-        if idx == var_idx:
-            return gid
-    raise KeyError(var_idx)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +339,7 @@ def feasible_assignment(model, graph):
             or (e.kind == "sink" and e.bus_id is None)
         )
         if on:
-            x[model.x_of[gid]] = 1.0
+            x[gid] = 1.0
     for k, s in enumerate([140.0, 132.5, 125.0, 140.0, 140.0]):
         x[model.s_of[("b1", k)]] = s
     x[model.g_of[("b1", 2, "fast")]] = 15.0
@@ -362,8 +353,7 @@ def feasible_assignment(model, graph):
 
 
 def assert_assignment_feasible(model, x, tol=1e-9):
-    lb, ub = model.bound_arrays()
-    assert (x >= lb - tol).all() and (x <= ub + tol).all()
+    assert (x >= model.lb - tol).all() and (x <= model.ub + tol).all()
     for con in model.constraints:
         lhs = sum(coef * x[i] for i, coef in con.coeffs)
         if con.sense == "==":
@@ -420,7 +410,7 @@ def test_split_intervals_are_reported_separately():
         for k in range(inst.n_steps + 1):
             x[model.s_of[(bus.id, k)]] = 140.0
     for k in (6, 8):
-        x[model.x_of[graph.sigma[("b1", k, "fast")]]] = 1.0
+        x[graph.sigma[("b1", k, "fast")]] = 1.0
         x[model.g_of[("b1", k, "fast")]] = 10.0
         x[model.e_of[k]] = 10.0
     # windows: 3 whole 5-minute steps; the largest ends at instant 9 (e6 + e8)
@@ -473,10 +463,10 @@ def test_lp_export_golden_snapshot(tmp_path):
 def test_model_arrays_are_read_only():
     # callers share the stored arrays: a write must not reach a frozen model
     model, _, _ = tiny_model()
-    lb, ub = model.bound_arrays()
-    for arr in (lb, ub, model.objective_vector(), model.integer_indices(), model.A.data):
+    for arr in (model.lb, model.ub, model.c, model.integer, model.e_of, model.p_of,
+                model.A.data):
         with pytest.raises(ValueError):
-            arr[0] = arr[0] + 1.0
+            arr[0] = arr[0] + 1
 
 
 # ---------------------------------------------------------------------------
@@ -547,8 +537,14 @@ def assert_same_stored_form(model, ref):
     assert model.row_names == ref.row_names
     assert model.columns == ref.columns
     assert model.families == ref.families
-    for name in ("x_of", "s_of", "g_of", "e_of", "p_of", "err_of", "terminal_targets"):
+    # the reference appends one flow column per edge first, in edge order
+    assert list(ref.x_of.items()) == [(gid, gid) for gid in range(ref.graph.n_edges)]
+    for name in ("s_of", "g_of", "err_of", "terminal_targets"):
         assert list(getattr(model, name).items()) == list(getattr(ref, name).items()), name
+    for name in ("e_of", "p_of"):
+        got = getattr(model, name)
+        assert got.dtype == np.int64, name
+        assert list(enumerate(got.tolist())) == list(getattr(ref, name).items()), name
     assert (model.peak_idx, model.peak_tou_idx) == (ref.peak_idx, ref.peak_tou_idx)
 
 

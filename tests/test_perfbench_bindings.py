@@ -70,7 +70,7 @@ def test_hooks_and_oracle_read_the_model():
     spans.HOOKS["solver.branch_and_bound"](tracer, (model,), {}, solution)
     assert tracer.counts[("setup", "milp.cols")] == model.n_variables
     assert tracer.counts[("setup", "milp.rows")] == model.n_constraints
-    assert tracer.counts[("setup", "milp.int_cols")] == len(model.integer_indices())
+    assert tracer.counts[("setup", "milp.int_cols")] == int(model.integer.sum())
     assert tracer.counts[("setup", "solver.nodes")] == solution.nodes_explored
 
     # the oracle's own matrix, read from the row and column views, is the

@@ -19,7 +19,6 @@ from bebcharge.milp import ModelOptions, add_terminal_cost, build_static_model, 
 from bebcharge.scenario import GeneratorBounds, discretize, generate_random_scenario
 from bebcharge.solver import (
     SolveLimits,
-    SolverError,
     branch_and_bound,
     build_warm_start,
     solve_lp,
@@ -62,10 +61,10 @@ def test_solve_lp_tiny_model_certified():
 
 def test_solve_lp_bound_override():
     model, graph, _ = tiny_model()
-    lb, ub = model.bound_arrays()
+    lb = model.lb
     gi = model.g_of[("b1", 2, "fast")]
     # forbid charging entirely: the final-level pin becomes unreachable
-    ub = ub.copy()
+    ub = model.ub.copy()
     ub[gi] = 0.0
     res = solve_lp(model, lb, ub)
     assert res.status == "infeasible"
@@ -151,8 +150,8 @@ def test_node_lp_matches_linprog(monkeypatch, make, kinds):
     monkeypatch.undo()
 
     mats = solver._Matrices(model)
-    lb0, ub0 = model.bound_arrays()
-    int_idx = model.integer_indices()
+    lb0, ub0 = model.lb, model.ub
+    int_idx = np.flatnonzero(model.integer)
     assert {node_kind(lb, ub, lb0, ub0, int_idx) for lb, ub, _ in seen} == kinds
     for lb, ub, got in seen:
         assert_same_lp_answer(got, linprog_reference(mats, lb, ub))
@@ -172,7 +171,7 @@ def test_node_lp_matches_linprog(monkeypatch, make, kinds):
 def test_node_lp_retries_on_a_fresh_dual_simplex(monkeypatch):
     model = bundled_day_model()
     mats = solver._Matrices(model)
-    lb0, ub0 = model.bound_arrays()
+    lb0, ub0 = model.lb, model.ub
     lp = solver._NodeLp(model, lb0, ub0)
     real_run = solver._NodeLp._run
     runs = []
@@ -293,9 +292,8 @@ def test_bnb_respects_charger_capacity():
 
 
 def fixed_integer_bounds(model, ws):
-    lb, ub = model.bound_arrays()
-    int_idx = model.integer_indices()
-    lb, ub = lb.copy(), ub.copy()
+    int_idx = np.flatnonzero(model.integer)
+    lb, ub = model.lb.copy(), model.ub.copy()
     lb[int_idx] = ub[int_idx] = ws[int_idx]
     return lb, ub
 
@@ -316,9 +314,9 @@ def test_warm_start_ignored_when_it_cannot_be_completed():
     ws = build_warm_start(model, [("b1", "fast", 7, 8), ("b1", "slow", 7, 8)])
     assert ws is not None
     assert solve_lp(model, *fixed_integer_bounds(model, ws)).status == "infeasible"
-    lb, ub = model.bound_arrays()
-    lp = solver._NodeLp(model, lb, ub)
-    assert solver._complete_integers(lp, model, lb, ub, ws, model.integer_indices()) is None
+    lp = solver._NodeLp(model, model.lb, model.ub)
+    int_idx = np.flatnonzero(model.integer)
+    assert solver._complete_integers(lp, model, model.lb, model.ub, ws, int_idx) is None
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +366,9 @@ def test_improvement_log_reports_warm_start():
     # root, routed by build_warm_start) costs more than the root bound
     model = mini_model(10, enforce_final=True)
     root = solve_lp(model)
-    int_idx = model.integer_indices()
+    int_idx = np.flatnonzero(model.integer)
     assert not solver._is_integral(root.x, int_idx)
-    lb, ub = model.bound_arrays()
+    lb, ub = model.lb, model.ub
     schedule = solver._lp_guided_incumbent(
         solver._NodeLp(model, lb, ub), model, lb, ub, root.x, int_idx
     )
@@ -457,7 +455,7 @@ def test_validate_solution_flags_violations(moves):
     assert not report["ok"]
     assert report["families"]["gain_cc"] > 900.0
     x2 = feasible_assignment(model, graph)
-    x2[model.x_of[graph.sigma[("b1", 2, "fast")]]] = 0.4
+    x2[graph.sigma[("b1", 2, "fast")]] = 0.4
     report2 = validate_solution(model, x2)
     assert report2["max_integrality_violation"] == pytest.approx(0.4)
     assert not report2["ok"]
