@@ -15,6 +15,13 @@ sub-graph, with D the vertex/edge incidence matrix (+1 where an edge begins,
 that end at a charging vertex have capacity 1 (at most one charger per bus);
 rest-chain and boundary edges have capacity equal to the charger count.
 
+A sub-graph is stored as arrays, one entry per vertex and one per edge: kind
+codes (into :data:`VERTEX_KINDS` / :data:`EDGE_KINDS`), instants, bus indices
+and, for edges, tail, head and capacity.  :func:`build_action_graph` builds
+each sub-graph's edge arrays whole, from the grid of available charge steps,
+and reads the index maps off them.  :class:`Vertex` and :class:`Edge` tuples
+are views, made on first use (CSV export, tests, inspection).
+
 A *visit group* collects all charging vertices of one bus visit across every
 charger type at the station.  Restricting the total flow entering a group's
 vertex set from outside to at most one unit enforces "at most one plug-in per
@@ -35,6 +42,7 @@ for re-entering locked visits.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -59,6 +67,11 @@ __all__ = [
 
 VERTEX_KINDS = ("source", "sink", "rest", "charge")
 EDGE_KINDS = ("source", "sink", "rest", "charge", "transition")
+SOURCE, SINK, REST, CHARGE, TRANSITION = range(len(EDGE_KINDS))
+
+# each edge kind's position in name order: edges with the same tail and head
+# are ordered by kind name
+_KIND_RANK = np.array([sorted(EDGE_KINDS).index(kind) for kind in EDGE_KINDS])
 
 
 @dataclass(frozen=True)
@@ -87,24 +100,68 @@ class Edge:
     bus_id: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SubGraph:
-    """Time-expanded graph for one charger type."""
+    """Time-expanded graph for one charger type, stored as arrays.
+
+    Vertex v has kind ``vertex_kind[v]`` (into :data:`VERTEX_KINDS`), instant
+    ``vertex_k[v]`` and bus ``vertex_bus[v]`` (into ``bus_ids``).  Edge i has
+    kind ``kind[i]`` (into :data:`EDGE_KINDS`), local vertices ``tail[i]`` ->
+    ``head[i]``, instants ``k_from[i]`` -> ``k_to[i]``, ``capacity[i]`` and
+    bus ``bus[i]``.  -1 stands for "none" in every instant and bus array.
+    ``vertices`` and ``edges`` are the same data as :class:`Vertex` /
+    :class:`Edge` tuples, made on first use.
+    """
 
     charger_type_id: str
     count: int
-    vertices: Tuple[Vertex, ...]
-    edges: Tuple[Edge, ...]
+    bus_ids: Tuple[str, ...]
+    vertex_kind: np.ndarray
+    vertex_k: np.ndarray
+    vertex_bus: np.ndarray
+    kind: np.ndarray
+    tail: np.ndarray
+    head: np.ndarray
+    k_from: np.ndarray
+    k_to: np.ndarray
+    capacity: np.ndarray
+    bus: np.ndarray
     vertex_offset: int = 0
     edge_offset: int = 0
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.vertex_kind)
 
     @property
     def n_edges(self) -> int:
-        return len(self.edges)
+        return len(self.kind)
+
+    def _bus_names(self, codes: np.ndarray) -> List[Optional[str]]:
+        names = self.bus_ids + (None,)  # code -1 reads the last entry
+        return [names[b] for b in codes.tolist()]
+
+    @cached_property
+    def vertices(self) -> Tuple[Vertex, ...]:
+        return tuple(
+            Vertex(VERTEX_KINDS[kind], None if k < 0 else k, bus_id)
+            for kind, k, bus_id in zip(
+                self.vertex_kind.tolist(), self.vertex_k.tolist(),
+                self._bus_names(self.vertex_bus),
+            )
+        )
+
+    @cached_property
+    def edges(self) -> Tuple[Edge, ...]:
+        return tuple(
+            Edge(EDGE_KINDS[kind], tail, head, None if k0 < 0 else k0,
+                 None if k1 < 0 else k1, capacity, bus_id)
+            for kind, tail, head, k0, k1, capacity, bus_id in zip(
+                self.kind.tolist(), self.tail.tolist(), self.head.tolist(),
+                self.k_from.tolist(), self.k_to.tolist(), self.capacity.tolist(),
+                self._bus_names(self.bus),
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -116,15 +173,18 @@ class VisitGroup:
     entering_edges: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ActionGraph:
     """All sub-graphs plus the cross-cutting index structures the MILP needs.
 
-    ``sigma`` maps (bus, step, charger type) to the charge edge of that step.
-    A charging run from step ``k0`` to ``k1`` is entered by the edge
-    ``enter_of[(bus, k0, type)]`` (from rest, or from the source for an
-    attached charger) and left by ``leave_of[(bus, k1, type)]`` (to rest or
-    the sink).
+    Edge ids run over the sub-graphs in order.  ``edge_type`` (the index of
+    an edge's sub-graph), ``edge_kind``, ``edge_bus``, ``edge_k_from``,
+    ``edge_k_to`` and ``edge_capacity`` are the sub-graphs' edge arrays
+    joined, by edge id.  ``sigma`` maps (bus, step, charger type) to the
+    charge edge of that step.  A charging run from step ``k0`` to ``k1`` is
+    entered by the edge ``enter_of[(bus, k0, type)]`` (from rest, or from the
+    source for an attached charger) and left by ``leave_of[(bus, k1, type)]``
+    (to rest or the sink).
     """
 
     instance: DiscreteInstance
@@ -134,20 +194,24 @@ class ActionGraph:
     edge_costs: np.ndarray
     enter_of: Dict[Tuple[str, int, str], int]
     leave_of: Dict[Tuple[str, int, str], int]
+    edge_type: np.ndarray
+    edge_kind: np.ndarray
+    edge_bus: np.ndarray
+    edge_k_from: np.ndarray
+    edge_k_to: np.ndarray
+    edge_capacity: np.ndarray
 
     @property
     def n_edges(self) -> int:
-        return sum(g.n_edges for g in self.subgraphs)
+        return len(self.edge_kind)
 
     @property
     def n_vertices(self) -> int:
         return sum(g.n_vertices for g in self.subgraphs)
 
     def edge(self, global_idx: int) -> Edge:
-        for g in self.subgraphs:
-            if global_idx < g.edge_offset + g.n_edges:
-                return g.edges[global_idx - g.edge_offset]
-        raise IndexError(global_idx)
+        g = self.subgraph_of_edge(global_idx)
+        return g.edges[global_idx - g.edge_offset]
 
     def subgraph_of_edge(self, global_idx: int) -> SubGraph:
         for g in self.subgraphs:
@@ -161,22 +225,24 @@ class ActionGraph:
                 yield g.edge_offset + i, g, e
 
     def edge_capacities(self) -> np.ndarray:
-        return np.fromiter(
-            (e.capacity for g in self.subgraphs for e in g.edges), dtype=float, count=self.n_edges
-        )
+        return self.edge_capacity.astype(float)
+
+
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of integer keys in ``[0, bound)``;
+    keys that fit 16 bits sort as such, by radix sort."""
+    return np.argsort(keys.astype(np.int16) if bound < 2**15 else keys, kind="stable")
 
 
 def incidence_entries(subgraph: SubGraph) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The incidence matrix's entries as (vertex, edge, value) arrays, vertex
     by vertex and by edge within a vertex: +1 at each edge's begin vertex,
     -1 at its end vertex."""
-    n = subgraph.n_edges
-    tail = np.fromiter((e.tail for e in subgraph.edges), dtype=np.int64, count=n)
-    head = np.fromiter((e.head for e in subgraph.edges), dtype=np.int64, count=n)
-    rows = np.concatenate((tail, head))
-    cols = np.tile(np.arange(n), 2)
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], np.repeat([1.0, -1.0], n)[order]
+    # each edge's begin then end vertex, sorted by vertex: within a vertex by
+    # edge, and a loop edge's +1 ahead of its -1
+    ends = np.stack((subgraph.tail, subgraph.head), axis=1).ravel()
+    order = stable_argsort(ends, subgraph.n_vertices)
+    return ends[order], order // 2, np.where(order % 2 == 0, 1.0, -1.0)
 
 
 def incidence_matrix(subgraph: SubGraph) -> sp.csc_matrix:
@@ -197,6 +263,11 @@ def flow_rhs(subgraph: SubGraph) -> np.ndarray:
     return f
 
 
+# what an edge is to the index maps: part of the rest chain (or a boundary
+# edge of it), a bus's charge step, the entry of a charging run, or its exit
+_CHAIN, _STEP, _ENTER, _LEAVE = range(4)
+
+
 def build_action_graph(
     instance: DiscreteInstance,
     attachments: Sequence[Tuple[str, str]] = (),
@@ -208,136 +279,124 @@ def build_action_graph(
     ``attachments`` lists (bus_id, charger_type_id) pairs whose charger is
     already connected at the window start; they receive a source->charging edge
     so the charge can continue through instant 0.
+
+    Every charger type is built at once, as arrays over (type, bus, step):
+    each available charge step brings its charge edge, the edge entering it
+    from rest a step earlier (from the source for an attached charger at step
+    0) and the edge leaving it for rest a step later (for the sink at the
+    window end); each type adds its source, rest chain and sink edges.
     """
     scenario = instance.scenario
     K = instance.n_steps
-    attach = set(attachments)
-    bus_order = {b.id: i for i, b in enumerate(scenario.buses)}
+    bus_ids = tuple(b.id for b in scenario.buses)
+    type_ids = tuple(ct.id for ct in scenario.charger_types)
+    n_bus, n_type = len(bus_ids), len(type_ids)
+    bus_index = {b: j for j, b in enumerate(bus_ids)}
+    type_index = {t: i for i, t in enumerate(type_ids)}
 
-    # charging availability per type: (bus, k) -> charge step exists
-    avail: Dict[str, Set[Tuple[str, int]]] = {ct.id: set() for ct in scenario.charger_types}
+    avail = np.zeros((n_type, n_bus, K), dtype=bool)
     for v in instance.visits:
         for tid in v.charger_type_ids:
-            for k in range(v.k_start, v.k_end):
-                avail[tid].add((v.bus_id, k))
+            avail[type_index[tid], bus_index[v.bus_id], v.k_start:v.k_end] = True
+    attached = np.zeros((n_type, n_bus), dtype=bool)
+    for bus_id, tid in attachments:
+        if bus_id in bus_index and tid in type_index:
+            attached[type_index[tid], bus_index[bus_id]] = True
+
+    # vertices per type: by instant, each bus's charging vertex (where a step
+    # begins or ends) then the rest vertex, between the source (0) and the sink
+    present = np.zeros((n_type, K + 1, n_bus + 1), dtype=bool)
+    present[:, :, n_bus] = True
+    steps_at = avail.transpose(0, 2, 1)
+    present[:, :K, :n_bus] = steps_at
+    present[:, 1:, :n_bus] |= steps_at
+    local = np.cumsum(present.reshape(n_type, -1), axis=1).reshape(present.shape)
+    rest = local[:, :, n_bus]
+    sink = rest[:, K] + 1
+
+    # rows: type, kind, tail, head, k_from, k_to, capacity, bus, map role; per
+    # charge step three slots: the step, its entry and its exit
+    t, j, k = np.nonzero(avail)
+    step = np.empty((9, len(k), 3), dtype=np.int64)
+    s_type, s_kind, s_tail, s_head, s_from, s_to, s_cap, s_bus, s_role = step
+    s_type[:] = t[:, None]
+    s_bus[:] = j[:, None]
+    s_cap[:] = 1
+    at_k, at_next = local[t, k, j], local[t, k + 1, j]
+    s_role[:, 0] = _STEP
+    s_role[:, 1] = _ENTER
+    s_role[:, 2] = _LEAVE
+    s_kind[:, 0] = CHARGE
+    s_tail[:, 0] = at_k
+    s_head[:, 0] = at_next
+    s_from[:, 0] = k
+    s_to[:, 0] = k + 1
+    s_head[:, 1] = at_k
+    s_to[:, 1] = k
+    from_rest = k >= 1
+    s_kind[:, 1] = np.where(from_rest, TRANSITION, SOURCE)
+    s_tail[:, 1] = np.where(from_rest, rest[t, k - 1], 0)
+    s_from[:, 1] = k - 1
+    to_rest = k + 2 <= K
+    s_kind[:, 2] = np.where(to_rest, TRANSITION, SINK)
+    s_tail[:, 2] = at_next
+    s_head[:, 2] = np.where(to_rest, rest[t, np.minimum(k + 2, K)], sink[t])
+    s_from[:, 2] = k + 1
+    s_to[:, 2] = np.where(to_rest, k + 2, -1)
+    kept = np.ones((len(k), 3), dtype=bool)
+    kept[:, 1] = from_rest | attached[t, j]
+
+    chain = np.empty((9, n_type, K + 2), dtype=np.int64)
+    c_type, c_kind, c_tail, c_head, c_from, c_to, c_cap, c_bus, c_role = chain
+    c_type[:] = np.arange(n_type)[:, None]
+    c_kind[:] = REST
+    c_kind[:, 0] = SOURCE
+    c_kind[:, K + 1] = SINK
+    c_tail[:, 0] = 0
+    c_tail[:, 1:] = rest
+    c_head[:, :K + 1] = rest
+    c_head[:, K + 1] = sink
+    c_from[:, 0] = -1
+    c_from[:, 1:] = np.arange(K + 1)
+    c_to[:, :K + 1] = np.arange(K + 1)
+    c_to[:, K + 1] = -1
+    c_cap[:] = np.array([ct.count for ct in scenario.charger_types])[:, None]
+    c_bus[:] = -1
+    c_role[:] = _CHAIN
+
+    edges = np.concatenate((chain.reshape(9, -1), step.reshape(9, -1)[:, kept.ravel()]), axis=1)
+    typ, kind, tail, head = edges[:4]
+    edges = edges[:, np.lexsort((_KIND_RANK[kind], head, tail, typ))]
+    typ, kind, tail, head, k_from, k_to, capacity, bus, role = edges
+
+    # index maps, in edge id order
+    maps: List[Dict[Tuple[str, int, str], int]] = []
+    for which, at in ((_STEP, k_from), (_ENTER, k_to), (_LEAVE, k_from)):
+        i = np.flatnonzero(role == which)
+        keys = zip(map(bus_ids.__getitem__, bus[i].tolist()), at[i].tolist(),
+                   map(type_ids.__getitem__, typ[i].tolist()))
+        maps.append(dict(zip(keys, i.tolist())))
+    sigma, enter_of, leave_of = maps
 
     subgraphs: List[SubGraph] = []
-    vertex_offset = 0
-    edge_offset = 0
-    sigma: Dict[Tuple[str, int, str], int] = {}
-    enter_of: Dict[Tuple[str, int, str], int] = {}
-    leave_of: Dict[Tuple[str, int, str], int] = {}
-
-    for ct in scenario.charger_types:
-        steps = avail[ct.id]
-        # vertex instants per bus: endpoints of available charge steps
-        vertices: List[Vertex] = [Vertex("source")]
-        local_of: Dict[Tuple[Optional[str], int], int] = {}
-        for k in range(K + 1):
-            for bus in scenario.buses:
-                if (bus.id, k) in steps or (bus.id, k - 1) in steps:
-                    local_of[(bus.id, k)] = len(vertices)
-                    vertices.append(Vertex("charge", k=k, bus_id=bus.id))
-            local_of[(None, k)] = len(vertices)
-            vertices.append(Vertex("rest", k=k))
-        sink_idx = len(vertices)
-        vertices.append(Vertex("sink"))
-
-        edges: List[Edge] = []
-        edges.append(
-            Edge("source", 0, local_of[(None, 0)], None, 0, capacity=ct.count)
-        )
-        for bus_id, k in steps:
-            if k == 0 and (bus_id, ct.id) in attach:
-                edges.append(
-                    Edge("source", 0, local_of[(bus_id, 0)], None, 0, capacity=1, bus_id=bus_id)
-                )
-        for k in range(K):
-            edges.append(
-                Edge(
-                    "rest",
-                    local_of[(None, k)],
-                    local_of[(None, k + 1)],
-                    k,
-                    k + 1,
-                    capacity=ct.count,
-                )
-            )
-        for bus_id, k in steps:
-            edges.append(
-                Edge(
-                    "charge",
-                    local_of[(bus_id, k)],
-                    local_of[(bus_id, k + 1)],
-                    k,
-                    k + 1,
-                    capacity=1,
-                    bus_id=bus_id,
-                )
-            )
-            # a charger can step in from rest ahead of the charge step...
-            if k >= 1:
-                edges.append(
-                    Edge(
-                        "transition",
-                        local_of[(None, k - 1)],
-                        local_of[(bus_id, k)],
-                        k - 1,
-                        k,
-                        capacity=1,
-                        bus_id=bus_id,
-                    )
-                )
-            # ...and step back out after it
-            if k + 2 <= K:
-                edges.append(
-                    Edge(
-                        "transition",
-                        local_of[(bus_id, k + 1)],
-                        local_of[(None, k + 2)],
-                        k + 1,
-                        k + 2,
-                        capacity=1,
-                        bus_id=bus_id,
-                    )
-                )
-            else:
-                edges.append(
-                    Edge(
-                        "sink",
-                        local_of[(bus_id, K)],
-                        sink_idx,
-                        K,
-                        None,
-                        capacity=1,
-                        bus_id=bus_id,
-                    )
-                )
-        edges.append(Edge("sink", local_of[(None, K)], sink_idx, K, None, capacity=ct.count))
-        # every edge is keyed by its own (bus, step) or instant, so none repeats
-        edges.sort(key=lambda e: (e.tail, e.head, e.kind))
-
+    edge_end = np.cumsum(np.bincount(typ, minlength=n_type)).tolist()
+    vertex_offset = edge_offset = 0
+    for i, ct in enumerate(scenario.charger_types):
+        k_v, col = np.nonzero(present[i])
+        is_rest = col == n_bus
+        part = slice(edge_offset, edge_end[i])
         sub = SubGraph(
-            charger_type_id=ct.id,
-            count=ct.count,
-            vertices=tuple(vertices),
-            edges=tuple(edges),
-            vertex_offset=vertex_offset,
-            edge_offset=edge_offset,
+            ct.id, ct.count, bus_ids,
+            vertex_kind=np.concatenate(([SOURCE], np.where(is_rest, REST, CHARGE), [SINK])),
+            vertex_k=np.concatenate(([-1], k_v, [-1])),
+            vertex_bus=np.concatenate(([-1], np.where(is_rest, -1, col), [-1])),
+            kind=kind[part], tail=tail[part], head=head[part], k_from=k_from[part],
+            k_to=k_to[part], capacity=capacity[part], bus=bus[part],
+            vertex_offset=vertex_offset, edge_offset=edge_offset,
         )
-        for i, e in enumerate(sub.edges):
-            if e.kind == "charge":
-                sigma[(e.bus_id, e.k_from, ct.id)] = edge_offset + i
-            elif e.bus_id is not None:
-                # a bus's transition, source or sink edge: into its charging
-                # vertex, or out of it
-                if sub.vertices[e.head].kind == "charge":
-                    enter_of[(e.bus_id, e.k_to, ct.id)] = edge_offset + i
-                else:
-                    leave_of[(e.bus_id, e.k_from, ct.id)] = edge_offset + i
         subgraphs.append(sub)
         vertex_offset += sub.n_vertices
-        edge_offset += sub.n_edges
+        edge_offset = edge_end[i]
 
     # visit groups across charger types, read off the run-entry map: a run's
     # entering edge at any instant k_start..k_end, plus the charge step of an
@@ -353,24 +412,20 @@ def build_action_graph(
         entering.discard(None)
         groups.append(VisitGroup(visit=v, entering_edges=tuple(sorted(entering))))
 
-    n_edges = edge_offset
     return ActionGraph(
         instance=instance,
         subgraphs=tuple(subgraphs),
         groups=tuple(groups),
         sigma=sigma,
-        edge_costs=np.zeros(n_edges),
+        edge_costs=np.zeros(edge_offset),
         enter_of=enter_of,
         leave_of=leave_of,
-    )
-
-
-def _edge_span_minutes(instance: DiscreteInstance, e: Edge) -> Optional[Tuple[float, float]]:
-    if e.k_from is None or e.k_to is None:
-        return None
-    return (
-        instance.t0_min + e.k_from * instance.delta_min,
-        instance.t0_min + e.k_to * instance.delta_min,
+        edge_type=typ,
+        edge_kind=kind,
+        edge_bus=bus,
+        edge_k_from=k_from,
+        edge_k_to=k_to,
+        edge_capacity=capacity,
     )
 
 
@@ -383,39 +438,29 @@ def close_edges(graph: ActionGraph, previous_plan) -> List[int]:
     the edge's span.  The plan may live on a different grid; only its
     minute-space intervals matter.  An empty plan makes every rest edge close.
     """
-    intervals = []  # (bus_id, type_id, start_min, end_min)
-    for bus_id, type_id, k_start, k_end in previous_plan.intervals:
-        intervals.append(
-            (
-                bus_id,
-                type_id,
-                previous_plan.t0_min + k_start * previous_plan.delta_min,
-                previous_plan.t0_min + k_end * previous_plan.delta_min,
-            )
-        )
-    out: List[int] = []
-    for gid, sub, e in graph.iter_edges():
-        span = _edge_span_minutes(graph.instance, e)
-        if span is None:
-            continue
-        a, b = span
-        if e.kind == "charge":
-            for bus_id, type_id, lo, hi in intervals:
-                if (
-                    bus_id == e.bus_id
-                    and type_id == sub.charger_type_id
-                    and min(b, hi) - max(a, lo) > 0
-                ):
-                    out.append(gid)
-                    break
-        elif e.kind == "rest":
-            busy = any(
-                type_id == sub.charger_type_id and min(b, hi) - max(a, lo) > 0
-                for _, type_id, lo, hi in intervals
-            )
-            if not busy:
-                out.append(gid)
-    return out
+    inst = graph.instance
+    kind = graph.edge_kind
+    bus_index = {b.id: j for j, b in enumerate(inst.scenario.buses)}
+    type_index = {g.charger_type_id: t for t, g in enumerate(graph.subgraphs)}
+    plan = previous_plan
+    bus_ids, type_ids, k_start, k_end = zip(*plan.intervals) if plan.intervals else ((),) * 4
+    # codes no edge carries for a bus or type the graph lacks
+    i_bus = np.array([bus_index.get(b, -2) for b in bus_ids], dtype=np.int64)
+    i_type = np.array([type_index.get(t, -2) for t in type_ids], dtype=np.int64)
+    lo = np.array([plan.t0_min + k * plan.delta_min for k in k_start], dtype=float)
+    hi = np.array([plan.t0_min + k * plan.delta_min for k in k_end], dtype=float)
+
+    ids = np.flatnonzero((kind == CHARGE) | (kind == REST))
+    a = inst.t0_min + graph.edge_k_from[ids] * inst.delta_min
+    b = inst.t0_min + graph.edge_k_to[ids] * inst.delta_min
+    overlap = np.minimum(b[:, None], hi) - np.maximum(a[:, None], lo) > 0
+    busy = overlap & (graph.edge_type[ids, None] == i_type)
+    close = np.where(
+        kind[ids] == CHARGE,
+        (busy & (graph.edge_bus[ids, None] == i_bus)).any(axis=1),
+        ~busy.any(axis=1),
+    )
+    return ids[close].tolist()
 
 
 def apply_plan_preference(
@@ -426,8 +471,7 @@ def apply_plan_preference(
     if bonus < 0:
         raise ValueError("bonus must be non-negative")
     costs = graph.edge_costs.copy()
-    for gid in close:
-        costs[gid] -= bonus
+    np.subtract.at(costs, np.asarray(close, dtype=np.int64), bonus)
     return replace(graph, edge_costs=costs)
 
 

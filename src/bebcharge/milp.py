@@ -31,14 +31,18 @@ step 0 draw constants from the history instead of silently truncating.
 A model is stored in one form, built once: the rows as a CSR matrix ``A``
 with row bounds ``row_lo <= A x <= row_hi`` and row families, and the
 columns as read-only arrays ``c``, ``lb``, ``ub``, an integrality mask and a
-role code.  Each family is built whole, from index arrays, as (row, column,
-value) entries plus row bounds, and all of them go into ``A`` in one step.
-Names are made only when asked for: row names, column tags and the
-``MilpModel.variables`` / ``MilpModel.constraints`` views (for LP export and
-inspection) are built on first use.  The solver, the residual report, plan
-extraction, the routing of charging runs and the appending helpers
-(:func:`add_terminal_cost`, :func:`lock_charged_visits`) work on the arrays
-alone.
+role code.  Each family is built whole, from index arrays, as a block of
+(row, column, value) entries plus row bounds.  A model keeps its blocks and
+makes the stored form from them on first read, in one pass: every column
+block side by side, and one stable sort of every entry by row.  The
+appending helpers (:func:`add_terminal_cost`, :func:`lock_charged_visits`)
+take a model and return a new one with their blocks after its own; they read
+none of its arrays, so a model appended to before it is first read is
+assembled once, with all its blocks.  Names are made only when asked for:
+row names, column tags and the ``MilpModel.variables`` /
+``MilpModel.constraints`` views (for LP export and inspection) are built on
+first use.  The solver, the residual report, plan extraction and the
+routing of charging runs work on the arrays alone.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .charge_model import DiscreteChargeParams, discretize_params
-from .graph import ActionGraph, flow_rhs, incidence_entries
+from .graph import CHARGE, SOURCE, ActionGraph, stable_argsort
 from .scenario import DiscreteInstance, charging_params
 
 __all__ = [
@@ -82,6 +86,9 @@ COLUMN_ROLES = (
 
 # the usable charge band is narrowed by this share of capacity from both sides
 SOC_BUFFER = 0.05
+
+# the roles whose objective terms a plan's cost breakdown calls auxiliary
+_AUXILIARY = np.array([role in ("flow", "terminal_err", "soc_slack") for role in COLUMN_ROLES])
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,21 @@ class ModelOptions:
 ColumnTag = Tuple[str, str, Optional[str], Optional[int], Optional[str]]
 
 
+class _Stored:
+    """One array of a model's stored form.  The first read of any of them
+    assembles them all, in one pass over the model's blocks, and keeps them
+    on the model."""
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, model, owner=None):
+        if model is None:
+            return self
+        model.__dict__.update(model.blocks.fields())
+        return model.__dict__[self.name]
+
+
 @dataclass(frozen=True, eq=False)
 class MilpModel:
     """An assembled model in its stored form plus the index maps needed to
@@ -146,6 +168,8 @@ class MilpModel:
     in CSR, each row's entries in assembly order: an equality row has equal
     bounds, a one-sided row an infinite other bound.  ``row_family`` (an
     index into ``families``) labels the rows.  Every array is read-only.
+    ``blocks`` holds the column and row blocks the model was assembled from;
+    the arrays are made from them on first read.
 
     The flow block comes first, in edge order, so flow column j is action
     graph edge j: edge ids index the columns directly.  ``s_of`` and
@@ -155,23 +179,11 @@ class MilpModel:
 
     Names are made on first use.  ``columns`` holds each column's (name,
     role, bus, step, charger type) and ``row_names`` each row's name; each
-    assembled block contributes one function to ``column_labels`` or
-    ``row_labels`` that returns its share of them in order.  ``variables``
-    and ``constraints`` are views built on those.
+    assembled block contributes one function that returns its share of them
+    in order.  ``variables`` and ``constraints`` are views built on those.
     """
 
-    c: np.ndarray
-    lb: np.ndarray
-    ub: np.ndarray
-    integer: np.ndarray
-    role: np.ndarray
-    A: sp.csr_matrix
-    row_lo: np.ndarray
-    row_hi: np.ndarray
-    row_family: np.ndarray
-    families: Tuple[str, ...]
-    column_labels: Tuple[Callable[[], List[ColumnTag]], ...]
-    row_labels: Tuple[Callable[[], List[str]], ...]
+    blocks: "_Assembly"
     graph: ActionGraph
     options: ModelOptions
     s_of: Dict[Tuple[str, int], int]
@@ -185,25 +197,39 @@ class MilpModel:
     window_m: int = 0
     window_frac: float = 0.0
 
+    c = _Stored()
+    lb = _Stored()
+    ub = _Stored()
+    integer = _Stored()
+    role = _Stored()
+    A = _Stored()
+    row_lo = _Stored()
+    row_hi = _Stored()
+    row_family = _Stored()
+
     @property
     def instance(self) -> DiscreteInstance:
         return self.graph.instance
 
     @property
+    def families(self) -> Tuple[str, ...]:
+        return tuple(self.blocks.families)
+
+    @property
     def n_variables(self) -> int:
-        return len(self.c)
+        return self.blocks.n_cols
 
     @property
     def n_constraints(self) -> int:
-        return self.A.shape[0]
+        return self.blocks.n_rows
 
     @cached_property
     def columns(self) -> Tuple[ColumnTag, ...]:
-        return tuple(tag for labels in self.column_labels for tag in labels())
+        return tuple(tag for labels in self.blocks.column_labels for tag in labels())
 
     @cached_property
     def row_names(self) -> Tuple[str, ...]:
-        return tuple(name for labels in self.row_labels for name in labels())
+        return tuple(name for labels in self.blocks.row_labels for name in labels())
 
     @cached_property
     def variables(self) -> Tuple[Variable, ...]:
@@ -230,14 +256,10 @@ class MilpModel:
             ))
         return tuple(out)
 
-    def columns_of(self, *roles: str) -> np.ndarray:
-        """Indices of the columns with any of these roles, ascending."""
-        return np.flatnonzero(np.isin(self.role, [COLUMN_ROLES.index(r) for r in roles]))
-
     def extended(self, appended: "_Assembly", **index_updates) -> "MilpModel":
         """Copy of the model with ``appended``'s rows and columns added
         after its own (never mutated)."""
-        return dataclasses.replace(self, **appended.fields(), **index_updates)
+        return dataclasses.replace(self, blocks=appended, **index_updates)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -253,14 +275,14 @@ def _ragged(lengths) -> np.ndarray:
 def _bounds(sense: str, rhs) -> Tuple[np.ndarray, np.ndarray]:
     """Row bounds ``(lo, hi)`` of one-sense rows with right-hand sides ``rhs``."""
     rhs = np.asarray(rhs, dtype=float)
-    inf = np.full(rhs.shape, math.inf)
     if sense == "==":
         return rhs, rhs
+    inf = np.full(rhs.shape, math.inf)
     return (-inf, rhs) if sense == "<=" else (rhs, inf)
 
 
 class _Assembly:
-    """Column and row blocks to add to a model's stored form, in order.
+    """The column and row blocks of a model's stored form, in order.
 
     A column block is n columns of one role.  A row block is n rows given by
     their bounds and a list of entry parts ``(row, column, value)``, with the
@@ -269,26 +291,34 @@ class _Assembly:
     a tuple and gives each row's position in it as ``kind``.  Every block
     carries a labeler, a function returning its column tags or row names,
     which runs only when names are asked for.
+
+    An assembly started from a model holds that model's blocks and adds its
+    own after them; the model's own assembly is never changed.  Rows added
+    after a model's rows give the same CSR as one stable sort of every
+    block's entries by row, so :meth:`fields` builds a model's stored form in
+    one pass however many blocks were appended to it.
     """
 
     def __init__(self, base: Optional[MilpModel] = None):
-        self.base = base
-        self.n_cols = base.n_variables if base is not None else 0
-        self.n_rows = base.n_constraints if base is not None else 0
-        self.families: List[str] = list(base.families) if base is not None else []
-        self.col_blocks: List[Tuple[np.ndarray, ...]] = []  # c, lb, ub, integer, role
-        self.row_blocks: List[Tuple[np.ndarray, ...]] = []  # family, lo, hi
-        self.entries: Tuple[List[np.ndarray], ...] = ([], [], [])  # row, col, value
-        self.column_labels: List[Callable[[], List[ColumnTag]]] = []
-        self.row_labels: List[Callable[[], List[str]]] = []
+        prior = base.blocks if base is not None else None
+        self.n_cols = prior.n_cols if prior else 0
+        self.n_rows = prior.n_rows if prior else 0
+        self.families: List[str] = list(prior.families) if prior else []
+        # n, c, lb, ub, integer, role per column block (scalars or arrays);
+        # family, lo, hi per row block
+        self.col_blocks: List[Tuple] = list(prior.col_blocks) if prior else []
+        self.row_blocks: List[Tuple[np.ndarray, ...]] = list(prior.row_blocks) if prior else []
+        # each part's rows (counted in the model), columns and values
+        self.entries: Tuple[List, ...] = (
+            tuple(list(part) for part in prior.entries) if prior else ([], [], []))
+        self.column_labels: List[Callable[[], List[ColumnTag]]] = (
+            list(prior.column_labels) if prior else [])
+        self.row_labels: List[Callable[[], List[str]]] = list(prior.row_labels) if prior else []
 
     def cols(self, n: int, lb, ub, obj, role: str,
              labels: Callable[[], List[ColumnTag]], integer: bool = False) -> np.ndarray:
         """Append ``n`` columns; returns their indices."""
-        self.col_blocks.append((
-            _fill(obj, n, float), _fill(lb, n, float), _fill(ub, n, float),
-            _fill(integer, n, bool), _fill(COLUMN_ROLES.index(role), n, np.int8),
-        ))
+        self.col_blocks.append((n, obj, lb, ub, integer, COLUMN_ROLES.index(role)))
         self.column_labels.append(labels)
         self.n_cols += n
         return np.arange(self.n_cols - n, self.n_cols)
@@ -297,70 +327,74 @@ class _Assembly:
              parts: Sequence[Tuple], labels: Callable[[], List[str]],
              kind: Optional[np.ndarray] = None) -> None:
         """Append ``len(lo)`` rows with entries from ``parts``."""
-        names = (family,) if isinstance(family, str) else tuple(family)
-        kind = np.zeros(len(lo), dtype=np.int64) if kind is None else kind
-        for i, name in enumerate(names):
-            if name not in self.families and (kind == i).any():
-                self.families.append(name)
-        fam = np.array([self.families.index(f) if f in self.families else -1 for f in names])
-        self.row_blocks.append((fam[kind], lo, hi))
+        if kind is None:  # one family
+            if len(lo) and family not in self.families:
+                self.families.append(family)
+            fam = np.full(len(lo), self.families.index(family) if len(lo) else -1)
+        else:
+            used = np.bincount(kind, minlength=len(family)).tolist()
+            for name, n in zip(family, used):
+                if n and name not in self.families:
+                    self.families.append(name)
+            codes = [self.families.index(f) if f in self.families else -1 for f in family]
+            fam = np.array(codes)[kind]
+        self.row_blocks.append((fam, lo, hi))
         for r, c, v in parts:
             r = np.asarray(r, dtype=np.int64)
             self.entries[0].append(r + self.n_rows)
-            self.entries[1].append(_fill(c, len(r), np.int64))
-            self.entries[2].append(_fill(v, len(r), float))
+            self.entries[1].append(c)
+            self.entries[2].append(v)
         self.row_labels.append(labels)
         self.n_rows += len(lo)
 
     def fields(self) -> Dict:
-        """The stored-form fields of the base model (or of an empty one) with
-        these blocks appended."""
-        base = self.base
+        """The stored-form arrays of every block, in order."""
 
-        def grown(attr, blocks, i, dtype=float):
-            if base is not None and not blocks:
-                return getattr(base, attr)  # read-only, so shared
-            old = [getattr(base, attr)] if base is not None else []
-            return _frozen(_concat(old + [b[i] for b in blocks], dtype))
+        def stacked(blocks, i, dtype=float):
+            return _frozen(_concat([b[i] for b in blocks], dtype))
 
-        A0 = base.A if base is not None else sp.csr_matrix((0, 0))
-        row, col, val = (_concat(part, dtype) for part, dtype in zip(
-            self.entries, (np.int64, np.int64, float)))
-        order = np.argsort(row, kind="stable")
-        counts = np.bincount(row - A0.shape[0], minlength=self.n_rows - A0.shape[0])
-        A = sp.csr_matrix(
-            (_concat([A0.data, val[order]], float),
-             _concat([A0.indices, col[order]], np.int64),
-             _concat([A0.indptr, A0.nnz + np.cumsum(counts)], np.int64)),
-            shape=(self.n_rows, self.n_cols),
+        sizes = [b[0] for b in self.col_blocks]
+        c, lb, ub, integer, role = (
+            _frozen(_expand([b[i] for b in self.col_blocks], sizes, dtype))
+            for i, dtype in enumerate((float, float, float, bool, np.int8), 1)
         )
+        rows, cols, vals = self.entries
+        row = _concat(rows, np.int64)
+        sizes = [len(r) for r in rows]
+        col = _expand(cols, sizes, np.int64)
+        val = _expand(vals, sizes, float)
+        order = stable_argsort(row, self.n_rows)
+        # the index type scipy picks for these sizes, so it converts nothing
+        index = np.int32 if max(len(row), self.n_rows, self.n_cols) < 2**31 else np.int64
+        indptr = np.zeros(self.n_rows + 1, dtype=index)
+        np.cumsum(np.bincount(row, minlength=self.n_rows), out=indptr[1:])
+        A = sp.csr_matrix((val[order], col[order].astype(index), indptr),
+                          shape=(self.n_rows, self.n_cols))
         for arr in (A.data, A.indices, A.indptr):
             _frozen(arr)
         return dict(
-            c=grown("c", self.col_blocks, 0),
-            lb=grown("lb", self.col_blocks, 1),
-            ub=grown("ub", self.col_blocks, 2),
-            integer=grown("integer", self.col_blocks, 3, bool),
-            role=grown("role", self.col_blocks, 4, np.int8),
-            A=A,
-            row_lo=grown("row_lo", self.row_blocks, 1),
-            row_hi=grown("row_hi", self.row_blocks, 2),
-            row_family=grown("row_family", self.row_blocks, 0, np.int64),
-            families=tuple(self.families),
-            column_labels=(base.column_labels if base is not None else ())
-            + tuple(self.column_labels),
-            row_labels=(base.row_labels if base is not None else ()) + tuple(self.row_labels),
+            c=c, lb=lb, ub=ub, integer=integer, role=role, A=A,
+            row_lo=stacked(self.row_blocks, 1),
+            row_hi=stacked(self.row_blocks, 2),
+            row_family=stacked(self.row_blocks, 0, np.int64),
         )
 
 
-def _fill(v, n: int, dtype) -> np.ndarray:
-    """``v`` as an array of ``n`` entries, a scalar repeated."""
-    return v.astype(dtype, copy=False) if isinstance(v, np.ndarray) else np.full(n, v, dtype)
+def _expand(values: Sequence, sizes: Sequence[int], dtype) -> np.ndarray:
+    """Consecutive blocks of ``sizes[i]`` entries: ``values[i]`` if it is an
+    array, else that scalar repeated."""
+    arrays = [isinstance(v, np.ndarray) for v in values]
+    out = np.repeat(np.array([0 if a else v for a, v in zip(arrays, values)], dtype=dtype), sizes)
+    start = 0
+    for is_array, v, n in zip(arrays, values, sizes):
+        if is_array:
+            out[start:start + n] = v
+        start += n
+    return out
 
 
 def _concat(arrays, dtype) -> np.ndarray:
-    arrays = [np.asarray(a, dtype=dtype) for a in arrays]
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype)
+    return np.concatenate(arrays).astype(dtype, copy=False) if arrays else np.empty(0, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +432,13 @@ def _tags(role: str, keys: Sequence[Tuple]) -> List[ColumnTag]:
 def pair_discrete_params(bus, charger, delta_hours: float) -> DiscreteChargeParams:
     """Discrete CC-CV parameters for one (bus, charger type) pairing."""
     return discretize_params(charging_params(bus, charger), delta_hours)
+
+
+def _ranks(ids: Sequence[str]) -> np.ndarray:
+    """Each id's position in sorted order."""
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return rank
 
 
 def _window_shape(window_minutes: float, delta_min: float) -> Tuple[int, float]:
@@ -454,10 +495,15 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     ).reshape(n_bus, K + 1)
     s_of = {(b, k): i for b, row in zip(bus_ids, s.tolist()) for k, i in enumerate(row)}
 
-    # --- gains, in (bus, step, charger type) order -----------------------------
-    g_keys = tuple(sorted(graph.sigma))
-    g_bus, g_k, g_tid = zip(*g_keys) if g_keys else ((), (), ())
-    g_k = np.array(g_k, dtype=np.int64)
+    # --- gains, in (bus, step, charger type) order: one per charge edge ------------
+    type_ids = tuple(ct.id for ct in scenario.charger_types)
+    charge = np.flatnonzero(graph.edge_kind == CHARGE)
+    g_j, g_k, g_t = graph.edge_bus[charge], graph.edge_k_from[charge], graph.edge_type[charge]
+    order = np.lexsort((_ranks(type_ids)[g_t], g_k, _ranks(bus_ids)[g_j]))
+    edge = charge[order]  # each gain's charge edge
+    g_j, g_k, g_t = g_j[order], g_k[order], g_t[order]
+    g_keys = tuple(zip(map(bus_ids.__getitem__, g_j.tolist()), g_k.tolist(),
+                       map(type_ids.__getitem__, g_t.tolist())))
     g = form.cols(
         len(g_keys), 0.0, math.inf, inst.step_rate[g_k], "gain",
         lambda: _tags("gain", [("g", *key) for key in g_keys]),
@@ -491,13 +537,22 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
             ),
         )
 
-    # --- flow balance, straight from each sub-graph's incidence matrix -------------
+    # --- flow balance, from the incidence matrix of every sub-graph at once ----------
+    # +1 at each edge's begin vertex, -1 at its end vertex, by vertex and edge
     subs = graph.subgraphs
-    flow = [incidence_entries(sub) for sub in subs]
+    n_v = graph.n_vertices
+    ends = np.stack((_concat([sub.tail + sub.vertex_offset for sub in subs], np.int64),
+                     _concat([sub.head + sub.vertex_offset for sub in subs], np.int64)),
+                    axis=1).ravel()
+    order = stable_argsort(ends, n_v)
+    rhs = np.zeros(n_v)
+    first = np.array([sub.vertex_offset for sub in subs], dtype=np.int64)
+    count = np.array([sub.count for sub in subs], dtype=float)
+    rhs[first] = count
+    rhs[first + [sub.n_vertices - 1 for sub in subs]] = -count
     form.rows(
-        "flow", *_bounds("==", _concat(map(flow_rhs, subs), float)),
-        [(sub.vertex_offset + vertex, sub.edge_offset + edge, sign)
-         for sub, (vertex, edge, sign) in zip(subs, flow)],
+        "flow", *_bounds("==", rhs),
+        [(ends[order], order // 2, np.where(order % 2 == 0, 1.0, -1.0))],
         lambda: _names(
             ("flow", sub.charger_type_id, v) for sub in subs for v in range(sub.n_vertices)
         ),
@@ -515,7 +570,7 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     # a step's gains are those of the first visit covering it, in its type order
     visits = inst.visits
     bus_index = {b: j for j, b in enumerate(bus_ids)}
-    type_index = {ct.id: t for t, ct in enumerate(scenario.charger_types)}
+    type_index = {t: i for i, t in enumerate(type_ids)}
     visit_at = np.full((n_bus, K), len(visits))  # len(visits) stands for none
     type_pos = np.full((len(visits) + 1, len(type_index)), -1)
     for v_i in range(len(visits) - 1, -1, -1):
@@ -523,8 +578,6 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
         visit_at[bus_index[v.bus_id], max(v.k_start, 0):max(v.k_end, 0)] = v_i
         for pos, tid in enumerate(v.charger_type_ids):
             type_pos[v_i, type_index[tid]] = pos
-    g_j = np.array([bus_index[b] for b in g_bus], dtype=np.int64)
-    g_t = np.array([type_index[t] for t in g_tid], dtype=np.int64)
     g_row = g_j * K + g_k
     g_pos = type_pos[visit_at[g_j, g_k], g_t]
     on = np.flatnonzero(g_pos >= 0)
@@ -545,16 +598,14 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     else:
         gain_rows = (("gain_cc", "gcc"), ("gain_cv", "gcv"), ("gain_bigm", "gbig"))
     families, prefixes = zip(*gain_rows)
-    params = {}
-    for bus_id, _, tid in g_keys:
-        if (bus_id, tid) not in params:
-            bus = scenario.bus_by_id(bus_id)
-            par = pair_discrete_params(bus, scenario.charger_by_id(tid), inst.delta_hours)
-            params[(bus_id, tid)] = (par.b_bar_cc, par.a_bar_cv, par.b_bar_cv, bus.capacity_kwh)
-    b_cc, a_cv, b_cv, cap = np.array(
-        [params[(bus_id, tid)] for bus_id, _, tid in g_keys], dtype=float
-    ).reshape(-1, 4).T
-    edge = np.array([graph.sigma[key] for key in g_keys], dtype=np.int64)
+    # each (bus, charger type) pairing's b_bar_cc, a_bar_cv, b_bar_cv and capacity
+    pair = g_j * len(type_ids) + g_t
+    params = np.zeros((n_bus * len(type_ids), 4))
+    for code in np.unique(pair).tolist():
+        bus, ct = buses[code // len(type_ids)], scenario.charger_types[code % len(type_ids)]
+        par = pair_discrete_params(bus, ct, inst.delta_hours)
+        params[code] = (par.b_bar_cc, par.a_bar_cv, par.b_bar_cv, bus.capacity_kwh)
+    b_cc, a_cv, b_cv, cap = params[pair].T
     n_g, r = len(g_keys), len(gain_rows)
     first = np.arange(n_g) * r
     lo = np.full(n_g * r, -math.inf)
@@ -572,7 +623,7 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     form.rows(
         families, lo, hi, parts,
         lambda: _names((prefix, *key) for key in g_keys for prefix in prefixes),
-        kind=np.tile(np.arange(r), n_g),
+        kind=np.arange(n_g * r) % r,
     )
 
     # --- meter aggregation ------------------------------------------------------------
@@ -601,15 +652,16 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
     lo = np.zeros(len(kind))
     hi = np.full(len(kind), math.inf)
     lo[win] = hi[win] = const
-    ks = np.arange(K + 1)
-    parts = [(win, p, window_h)]
     # steps k-m..k-1 whole, then step k-m-1 by its fraction
-    back = [(m - i, -1.0) for i in range(m)] + ([(m + 1, -fracw)] if fracw > 0.0 else [])
-    for shift, weight in back:
-        k_prime = ks - shift
-        inside = k_prime >= 0
-        parts.append((win[inside], e[k_prime[inside]], weight))
-    parts += [
+    shift = np.arange(m, 0, -1)
+    weight = np.full(m, -1.0)
+    if fracw > 0.0:
+        shift, weight = np.append(shift, m + 1), np.append(weight, -fracw)
+    k_prime = np.arange(K + 1)[:, None] - shift
+    at, back = np.nonzero(k_prime >= 0)  # by instant, then oldest step first
+    parts = [
+        (win, p, window_h),
+        (win[at], e[k_prime[at, back]], weight[back]),
         (win + 1, peak_idx, 1.0), (win + 1, p, -1.0),
         (tou, peak_tou_idx, 1.0), (tou, p[in_peak], -1.0),
     ]
@@ -632,15 +684,18 @@ def build_static_model(graph: ActionGraph, options: ModelOptions = ModelOptions(
         )
 
     # column names are prefix-distinct by family; within one they clash only
-    # when sanitized bus ids do, or gain tags do
+    # when sanitized bus ids do, or gain tags do.  A gain tag bus_step_type
+    # whose bus and type tags hold no "_" splits back into its key, so then
+    # only the bus tags can clash
     bus_tag = {b: _lp_name(b) for b in bus_ids}
-    type_tag = {t: _lp_name(t) for t in type_index}
-    if (len(set(bus_tag.values())) < n_bus
-            or len({f"{bus_tag[b]}_{k}_{type_tag[t]}" for b, k, t in g_keys}) < len(g_keys)):
+    type_tag = {t: _lp_name(t) for t in type_ids}
+    if len(set(bus_tag.values())) < n_bus or (
+            any("_" in tag for tag in (*bus_tag.values(), *type_tag.values()))
+            and len({f"{bus_tag[b]}_{k}_{type_tag[t]}" for b, k, t in g_keys}) < len(g_keys)):
         raise ValueError("variable name collision after sanitization")
 
     return MilpModel(
-        **form.fields(),
+        blocks=form,
         graph=graph,
         options=options,
         s_of=s_of,
@@ -697,10 +752,10 @@ def lock_charged_visits(model: MilpModel, charged_visit_ids: Iterable[str]) -> M
     charged = set(charged_visit_ids)
     graph = model.graph
     locked = [grp for grp in graph.groups if grp.visit.id in charged]
-    cols = [
-        [gid for gid in grp.entering_edges if graph.edge(gid).kind != "source"]
-        for grp in locked
-    ]
+    if not locked:
+        return model
+    source = graph.edge_kind == SOURCE
+    cols = [[gid for gid in grp.entering_edges if not source[gid]] for grp in locked]
     form = _Assembly(model)
     form.rows(
         "lock", *_bounds("<=", np.zeros(len(locked))),
@@ -838,23 +893,21 @@ def _window_energy(
     summed oldest first; steps before 0 read from ``history`` (most recent
     last, zero beyond it)."""
     e = np.asarray(series, dtype=float)
-    hist = list(history)
-
-    def energy_at(k_prime: int) -> float:
-        if k_prime >= 0:
-            return float(e[k_prime])
-        idx = len(hist) + k_prime
-        if 0 <= idx < len(hist):
-            return float(hist[idx])
-        return 0.0
-
-    out = np.zeros(len(e) + 1)
-    for k in range(len(e) + 1):
-        total = sum(energy_at(k_prime) for k_prime in range(k - m, k))
-        if frac > 0.0:
-            total += frac * energy_at(k - m - 1)
-        out[k] = total
+    n = len(e) + 1
+    # steps -m-1..-1 from the history, then the series: step k is ext[k + m + 1]
+    hist = np.asarray(history, dtype=float)[max(len(history) - m - 1, 0):]
+    ext = np.concatenate((np.zeros(m + 1 - len(hist)), hist, e))
+    out = np.zeros(n)
+    for i in range(m):
+        out += ext[i + 1:i + 1 + n]
+    if frac > 0.0:
+        out += frac * ext[:n]
     return out
+
+
+def _running_sum(terms: np.ndarray) -> float:
+    """``0.0 + terms[0] + terms[1] + ...``, added in that order."""
+    return float(np.cumsum(np.concatenate(([0.0], terms)))[-1])
 
 
 def extract_plan(
@@ -876,33 +929,34 @@ def extract_plan(
             f"assignment has shape {x.shape}, expected {(model.n_variables,)}"
         )
 
-    charging: Dict[Tuple[str, str], List[int]] = {}
-    for (bus_id, k, tid), gid in model.graph.sigma.items():
-        if x[gid] > 0.5:
-            charging.setdefault((bus_id, tid), []).append(k)
-    intervals: List[Tuple[str, str, int, int]] = []
-    for (bus_id, tid), ks in charging.items():
-        ks.sort()
-        start = prev = ks[0]
-        for k in ks[1:]:
-            if k == prev + 1:
-                prev = k
-                continue
-            intervals.append((bus_id, tid, start, prev + 1))
-            start = prev = k
-        intervals.append((bus_id, tid, start, prev + 1))
-    intervals.sort(key=lambda t: (t[2], t[0], t[1]))
+    # charging runs: the charge edges carrying flow, by bus, type and step
+    graph = model.graph
+    charge = np.flatnonzero(graph.edge_kind == CHARGE)
+    on = charge[x[charge] > 0.5]
+    bus, tid, k = graph.edge_bus[on], graph.edge_type[on], graph.edge_k_from[on]
+    order = np.lexsort((k, tid, bus))
+    bus, tid, k = bus[order], tid[order], k[order]
+    first = np.ones(len(k) + 1, dtype=bool)  # a run starts here, or the steps end
+    first[1:-1] = (bus[1:] != bus[:-1]) | (tid[1:] != tid[:-1]) | (k[1:] != k[:-1] + 1)
+    last = first[1:]
+    first = first[:-1]
+    bus_ids = [b.id for b in scenario.buses]
+    type_ids = [g.charger_type_id for g in graph.subgraphs]
+    intervals = sorted(
+        ((bus_ids[b], type_ids[t], k0, k1 + 1) for b, t, k0, k1 in zip(
+            bus[first].tolist(), tid[first].tolist(), k[first].tolist(), k[last].tolist())),
+        key=lambda t: (t[2], t[0], t[1]),
+    )
 
-    gains = {key: float(x[gi]) for key, gi in model.g_of.items()}
-    soc = {
-        bus.id: np.array([x[model.s_of[(bus.id, k)]] for k in range(K + 1)])
-        for bus in scenario.buses
-    }
+    role = model.role
+    g_x = x[role == COLUMN_ROLES.index("gain")]
+    gains = dict(zip(model.g_of, g_x.tolist()))
+    soc = dict(zip(bus_ids, x[role == COLUMN_ROLES.index("soc")].reshape(len(bus_ids), K + 1)))
     step_energy = x[model.e_of]
 
-    consumption = float(
-        sum(inst.step_rate[k] * g for (bus_id, k, tid), g in gains.items())
-    )
+    # sums run left to right from zero, as a Python sum over the terms would
+    g_k = np.fromiter((key[1] for key in model.g_of), dtype=np.int64, count=len(g_x))
+    consumption = _running_sum(inst.step_rate[g_k] * g_x)
     p_vals = window_averages(
         step_energy,
         inst.delta_min,
@@ -916,11 +970,8 @@ def extract_plan(
     else:
         demand_tou = 0.0
 
-    aux = model.columns_of("flow", "terminal_err", "soc_slack")
-    auxiliary = 0.0
-    for obj, x_i in zip(model.c[aux].tolist(), x[aux]):
-        if obj != 0.0:
-            auxiliary += obj * x_i
+    aux = _AUXILIARY[role] & (model.c != 0.0)
+    auxiliary = _running_sum(model.c[aux] * x[aux])
     objective = float(model.c @ x)
     recomputed = consumption + demand_base + demand_tou + auxiliary
     if status != "infeasible" and abs(recomputed - objective) > 1e-6:
@@ -941,7 +992,7 @@ def extract_plan(
             "consumption": consumption,
             "demand_base": demand_base,
             "demand_tou": demand_tou,
-            "auxiliary": float(auxiliary),
+            "auxiliary": auxiliary,
         },
         status=status,
     )

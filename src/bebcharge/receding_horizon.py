@@ -17,12 +17,19 @@ comes from three mechanisms:
 * **plan preference** - edges consistent with the previous iteration's plan
   get a tiny objective bonus, so near-ties don't oscillate between solves.
 
+Each window is built in one pass: the scenario is discretized from the
+current time, the action graph is built from arrays, the plan preference
+lowers the costs of the edges close to the previous plan, and the terminal
+cost and the visit lock append their blocks to the window's model, whose
+stored form is assembled once, when the search first reads it.
+
 Demand-charge continuity across solves comes from feeding each model the
-realized per-step meter energy just before its window, so sliding-window
-average power is billed identically by the controller and by the offline
-tariff oracle.  If a horizon is infeasible (noise pushed a bus below its
-buffered band), the controller retries with soft minimum-level slacks at a
-heavy penalty; only if that also fails is the run declared failed.
+realized per-step meter energy just before its window (exactly the steps
+its demand window reads), so sliding-window average power is billed
+identically by the controller and by the offline tariff oracle.  If a
+horizon is infeasible (noise pushed a bus below its buffered band), the
+controller retries with soft minimum-level slacks at a heavy penalty; only
+if that also fails is the run declared failed.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .milp import (
     ChargePlan,
     MilpModel,
     ModelOptions,
+    _window_shape,
     add_terminal_cost,
     build_static_model,
     extract_plan,
@@ -288,7 +296,10 @@ def execute_first_step(
 
     state.attachments = attachments
     bin_kwh = float(env.meter_kwh[k_from:k_to].sum())
-    state.energy_history = (state.energy_history + (bin_kwh,))[-8:]
+    # keep the steps a window model reads: m whole steps and a fractional one
+    m, frac = _window_shape(env.scenario.rates.demand_window_minutes, cfg.delta_rh_minutes)
+    history = state.energy_history + (bin_kwh,)
+    state.energy_history = history[max(len(history) - m - (frac > 0.0), 0):]
     state.soc_kwh = dict(env.soc)
     state.t_min += cfg.delta_rh_minutes
     state.previous_plan = plan

@@ -1,7 +1,8 @@
-"""Shared scenario factories for the test suite."""
+"""Shared scenario factories for the test suite, and hand-built sub-graphs."""
 
 import numpy as np
 
+from bebcharge.graph import EDGE_KINDS, VERTEX_KINDS, SubGraph
 from bebcharge.scenario import (
     Bus,
     ChargerType,
@@ -143,4 +144,31 @@ def mini_scenario(seed):
         buses=tuple(buses),
         charger_types=tuple(charger_types),
         load_profile=load_profile,
+    )
+
+
+def subgraph_of(charger_type_id, count, vertices, edges):
+    """The :class:`SubGraph` of these ``Vertex`` and ``Edge`` tuples."""
+    bus_ids = tuple(dict.fromkeys(
+        x.bus_id for x in (*vertices, *edges) if x.bus_id is not None
+    ))
+
+    def codes(values, names):
+        return np.array([-1 if v is None else names.index(v) for v in values], dtype=np.int64)
+
+    def ints(values):
+        return np.array([-1 if v is None else v for v in values], dtype=np.int64)
+
+    return SubGraph(
+        charger_type_id, count, bus_ids,
+        vertex_kind=codes([v.kind for v in vertices], VERTEX_KINDS),
+        vertex_k=ints([v.k for v in vertices]),
+        vertex_bus=codes([v.bus_id for v in vertices], bus_ids),
+        kind=codes([e.kind for e in edges], EDGE_KINDS),
+        tail=ints([e.tail for e in edges]),
+        head=ints([e.head for e in edges]),
+        k_from=ints([e.k_from for e in edges]),
+        k_to=ints([e.k_to for e in edges]),
+        capacity=ints([e.capacity for e in edges]),
+        bus=codes([e.bus_id for e in edges], bus_ids),
     )

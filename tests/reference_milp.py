@@ -6,7 +6,8 @@ LP name built on the spot, exactly as the package did before it built whole
 constraint families from index arrays.  ``reference_model`` returns the
 stored-form arrays, names and index maps; ``reference_terminal_cost`` and
 ``reference_lock`` append to them as ``add_terminal_cost`` and
-``lock_charged_visits`` do.
+``lock_charged_visits`` do.  ``assert_same_stored_form`` and
+``assert_same_highs_arrays`` compare a model with its reference.
 """
 
 import math
@@ -15,7 +16,9 @@ from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import coo_array, csc_array, vstack
 
+from bebcharge import solver
 from bebcharge.graph import flow_rhs, incidence_matrix
 from bebcharge.milp import SOC_BUFFER, _window_shape, pair_discrete_params
 
@@ -292,3 +295,52 @@ def reference_lock(model, charged_visit_ids: Iterable[str]):
 
 def _replace(model, form, **updates):
     return SimpleNamespace(**{**vars(model), **form.arrays(model), **updates})
+
+
+# ---------------------------------------------------------------------------
+# comparisons
+
+
+def assert_same_stored_form(model, ref):
+    for name in ("c", "lb", "ub", "integer", "row_lo", "row_hi", "row_family"):
+        got, want = getattr(model, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert model.A.shape == ref.A.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(model.A, name), getattr(ref.A, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert model.row_names == ref.row_names
+    assert model.columns == ref.columns
+    assert model.families == ref.families
+    # the reference appends one flow column per edge first, in edge order
+    assert list(ref.x_of.items()) == [(gid, gid) for gid in range(ref.graph.n_edges)]
+    for name in ("s_of", "g_of", "err_of", "terminal_targets"):
+        assert list(getattr(model, name).items()) == list(getattr(ref, name).items()), name
+    for name in ("e_of", "p_of"):
+        got = getattr(model, name)
+        assert got.dtype == np.int64, name
+        assert list(enumerate(got.tolist())) == list(getattr(ref, name).items()), name
+    assert (model.peak_idx, model.peak_tou_idx) == (ref.peak_idx, ref.peak_tou_idx)
+
+
+def stacked_highs_arrays(ref):
+    """What ``linprog`` hands HiGHS for the reference's rows: the split into
+    ``A_ub`` (``>=`` rows negated) and ``A_eq``, stacked and converted to
+    CSC, with the row bounds."""
+    mats = solver._Matrices(ref)
+    A = csc_array(vstack((coo_array(mats.A_ub), coo_array(mats.A_eq))))
+    lower = np.concatenate((np.full(len(mats.b_ub), -math.inf), mats.b_eq))
+    upper = np.concatenate((mats.b_ub, mats.b_eq))
+    return A.indptr, A.indices, A.data, lower, upper
+
+
+def assert_same_highs_arrays(model, ref):
+    """The node LP's HiGHS input for ``model`` is the reference's, byte for
+    byte."""
+    lp = solver._NodeLp(model, model.lb, model.ub).lp
+    start, index, value, lower, upper = stacked_highs_arrays(ref)
+    assert np.array_equal(np.asarray(lp.a_matrix_.start_), start)
+    assert np.array_equal(np.asarray(lp.a_matrix_.index_), index)
+    for got, want in ((lp.a_matrix_.value_, value), (lp.row_lower_, lower),
+                      (lp.row_upper_, upper), (lp.col_cost_, ref.c)):
+        assert np.asarray(got, dtype=float).tobytes() == want.tobytes()

@@ -26,7 +26,7 @@ from bebcharge.charge_model import (
     step_size_for_error,
     switching_point,
 )
-from bebcharge.graph import Edge, SubGraph, Vertex, build_action_graph, incidence_matrix
+from bebcharge.graph import Edge, Vertex, build_action_graph, incidence_matrix
 from bebcharge.milp import (
     ModelOptions,
     add_terminal_cost,
@@ -48,7 +48,7 @@ from bebcharge.simulation import (
 from bebcharge.solver import SolveLimits, branch_and_bound
 
 from bruteforce import brute_force_best
-from helpers import flat_rates, mini_scenario, single_visit_scenario
+from helpers import flat_rates, mini_scenario, single_visit_scenario, subgraph_of
 
 EXACT = SolveLimits(mip_gap=0.0)
 
@@ -129,7 +129,7 @@ def test_criterion_1_incidence_golden():
         ],
         dtype=float,
     )
-    got = incidence_matrix(SubGraph("t", 1, vertices, edges)).toarray()
+    got = incidence_matrix(subgraph_of("t", 1, vertices, edges)).toarray()
     ok = got.shape == (4, 5) and np.array_equal(got, expected)
     criterion(1, ok, "4x5 sample incidence matrix reproduced exactly")
 

@@ -7,19 +7,26 @@ import pytest
 
 from bebcharge.graph import (
     Edge,
-    SubGraph,
     Vertex,
     apply_plan_preference,
     build_action_graph,
     close_edges,
     dump_edges_csv,
     flow_rhs,
+    incidence_entries,
     incidence_matrix,
 )
 from bebcharge.benchmarks import four_bus_day
 from bebcharge.scenario import GeneratorBounds, discretize, generate_random_scenario
 
-from helpers import single_visit_scenario, two_type_scenario
+from helpers import single_visit_scenario, subgraph_of, two_type_scenario
+from reference_graph import (
+    iter_edges,
+    reference_close_edges,
+    reference_edges_csv,
+    reference_graph,
+    reference_incidence_entries,
+)
 
 
 def sample_subgraph():
@@ -32,7 +39,7 @@ def sample_subgraph():
         Edge("rest", 2, 3, 2, 3, 1),
         Edge("rest", 1, 3, 1, 3, 1),
     )
-    return SubGraph("t", 1, vertices, edges)
+    return subgraph_of("t", 1, vertices, edges)
 
 
 def test_incidence_of_sample_graph_matches_hand_computation():
@@ -292,7 +299,8 @@ def test_build_is_deterministic():
     inst = discretize(two_type_scenario(charger_counts=(2, 2)), 5.0)
     a = build_action_graph(inst)
     b = build_action_graph(inst)
-    assert a.subgraphs == b.subgraphs
+    assert [(s.vertices, s.edges) for s in a.subgraphs] == \
+        [(s.vertices, s.edges) for s in b.subgraphs]
     assert a.groups == b.groups
     assert a.sigma == b.sigma
 
@@ -367,3 +375,68 @@ def test_dump_edges_csv_round_trips_structure(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[1] in ("source", "sink", "rest", "charge", "transition")
+
+
+# ---------------------------------------------------------------------------
+# the array build against the edge-by-edge reference
+
+
+def reference_cases():
+    """(instance, attachments): generated 2- and 4-bus days and the bundled
+    day on 5- and 15-minute grids, and every 3-minute controller window of
+    the bundled day, bare and with every pair attached."""
+    for n_buses in (2, 4):
+        for seed in (0, 1):
+            scenario = generate_random_scenario(seed, GeneratorBounds(n_buses=n_buses))
+            for delta in (5.0, 15.0):
+                yield discretize(scenario, delta), ()
+    day = four_bus_day()
+    for delta in (5.0, 15.0):
+        yield discretize(day, delta), ()
+    pairs = tuple((b.id, ct.id) for b in day.buses for ct in day.charger_types)
+    for t0 in range(day.day_start_min, day.day_end_min - 2, 3):
+        inst = discretize(day, 3.0, t0_min=t0, t_end_min=min(t0 + 60, day.day_end_min))
+        yield inst, ()
+        yield inst, pairs
+
+
+def previous_plans(inst):
+    """An empty plan, one charging the first steps of every visit on the
+    same grid, and one on a coarser grid that starts a minute earlier."""
+    yield FakePlan(intervals=[], t0_min=inst.t0_min, delta_min=inst.delta_min)
+    same = [(v.bus_id, v.charger_type_ids[0], v.k_start, min(v.k_start + 2, v.k_end))
+            for v in inst.visits]
+    yield FakePlan(intervals=same, t0_min=inst.t0_min, delta_min=inst.delta_min)
+    coarse = [(v.bus_id, v.charger_type_ids[-1], v.k_start * inst.delta_min / 5.0,
+               v.k_end * inst.delta_min / 5.0) for v in inst.visits]
+    yield FakePlan(intervals=coarse + [("no-such-bus", "fast", 0, 3)],
+                   t0_min=inst.t0_min - 1, delta_min=5.0)
+
+
+def test_array_build_matches_edge_by_edge_reference(tmp_path):
+    path = tmp_path / "edges.csv"
+    n_attached = 0
+    for inst, attachments in reference_cases():
+        graph = build_action_graph(inst, attachments=attachments)
+        ref = reference_graph(inst, attachments)
+        assert len(graph.subgraphs) == len(ref.subgraphs)
+        for sub, want in zip(graph.subgraphs, ref.subgraphs):
+            assert (sub.charger_type_id, sub.count) == (want.charger_type_id, want.count)
+            assert (sub.vertex_offset, sub.edge_offset) == (want.vertex_offset, want.edge_offset)
+            assert sub.vertices == want.vertices
+            assert sub.edges == want.edges
+            for got, expected in zip(incidence_entries(sub), reference_incidence_entries(want)):
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        for name in ("sigma", "enter_of", "leave_of"):
+            assert list(getattr(graph, name).items()) == list(getattr(ref, name).items()), name
+        assert [(grp.visit, grp.entering_edges) for grp in graph.groups] == ref.groups
+        assert [graph.edge(gid) for gid in range(graph.n_edges)] == \
+            [e for _, _, e in iter_edges(ref)]
+        for plan in previous_plans(inst):
+            close = close_edges(graph, plan)
+            assert close == reference_close_edges(ref, plan)
+            pref = apply_plan_preference(graph, close, 0.125)
+            dump_edges_csv(pref, str(path))
+            assert path.read_text() == reference_edges_csv(ref, pref.edge_costs)
+        n_attached += any(e.kind == "source" and e.bus_id for _, _, e in graph.iter_edges())
+    assert n_attached > 0

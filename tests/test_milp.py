@@ -1,17 +1,17 @@
 """Model-assembly tests: row structure by hand, window arithmetic against an
-independent interval-overlap integral, LP export round-trip plus a golden
-snapshot, plan extraction from a hand-built feasible assignment, the stored
-form against the row-by-row reference builder, names made only on demand,
-and the name-collision check."""
+independent interval-overlap integral and the window energy against its
+per-instant loop, LP export round-trip plus a golden snapshot, plan
+extraction from a hand-built feasible assignment, the stored form against
+the row-by-row reference builder (read after every append, and read once
+after deferred appends), names made only on demand, and the name-collision
+check."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import coo_array, csc_array, vstack
 
 from bebcharge import solver
 from bebcharge.charge_model import discretize_params
@@ -22,6 +22,7 @@ from bebcharge.milp import (
     build_static_model,
     export_lp,
     extract_plan,
+    _window_energy,
     lock_charged_visits,
     window_averages,
 )
@@ -36,7 +37,13 @@ from bebcharge.scenario import (
 )
 
 from helpers import make_bus, mini_scenario, single_visit_scenario
-from reference_milp import reference_lock, reference_model, reference_terminal_cost
+from reference_milp import (
+    assert_same_highs_arrays,
+    assert_same_stored_form,
+    reference_lock,
+    reference_model,
+    reference_terminal_cost,
+)
 
 GOLDEN = "tests/golden/tiny_model.lp"
 
@@ -270,6 +277,46 @@ def test_window_averages_against_overlap_integral(delta):
 def test_window_averages_no_history():
     got = window_averages([4.0, 0.0, 0.0, 0.0], 15.0, 15.0)
     np.testing.assert_allclose(got, [0.0, 16.0, 0.0, 0.0, 0.0])
+
+
+def loop_window_energy(series, m, frac, history):
+    """The per-instant loop ``_window_energy`` replaced, kept as its
+    reference: at each instant a Python sum over the ``m`` whole steps,
+    oldest first, then ``frac`` of the step before them."""
+    e = np.asarray(series, dtype=float)
+    hist = list(history)
+
+    def energy_at(k_prime):
+        if k_prime >= 0:
+            return float(e[k_prime])
+        idx = len(hist) + k_prime
+        if 0 <= idx < len(hist):
+            return float(hist[idx])
+        return 0.0
+
+    out = np.zeros(len(e) + 1)
+    for k in range(len(e) + 1):
+        total = sum(energy_at(k_prime) for k_prime in range(k - m, k))
+        if frac > 0.0:
+            total += frac * energy_at(k - m - 1)
+        out[k] = total
+    return out
+
+
+energies = st.floats(-1e3, 1e3, allow_nan=False) | st.sampled_from([0.0, -0.0, 1e-300])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    series=st.lists(energies, max_size=30),
+    m=st.integers(0, 12),
+    frac=st.sampled_from([0.0, 0.5]) | st.floats(1e-9, 1.0, exclude_max=True),
+    history=st.lists(energies, max_size=16),
+)
+def test_window_energy_matches_the_loop_reference(series, m, frac, history):
+    got = _window_energy(series, m, frac, tuple(history))
+    want = loop_window_energy(series, m, frac, history)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -526,38 +573,6 @@ def model_cases(draw):
     return graph, options, targets, weight, locked
 
 
-def assert_same_stored_form(model, ref):
-    for name in ("c", "lb", "ub", "integer", "row_lo", "row_hi", "row_family"):
-        got, want = getattr(model, name), getattr(ref, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert model.A.shape == ref.A.shape
-    for name in ("data", "indices", "indptr"):
-        got, want = getattr(model.A, name), getattr(ref.A, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    assert model.row_names == ref.row_names
-    assert model.columns == ref.columns
-    assert model.families == ref.families
-    # the reference appends one flow column per edge first, in edge order
-    assert list(ref.x_of.items()) == [(gid, gid) for gid in range(ref.graph.n_edges)]
-    for name in ("s_of", "g_of", "err_of", "terminal_targets"):
-        assert list(getattr(model, name).items()) == list(getattr(ref, name).items()), name
-    for name in ("e_of", "p_of"):
-        got = getattr(model, name)
-        assert got.dtype == np.int64, name
-        assert list(enumerate(got.tolist())) == list(getattr(ref, name).items()), name
-    assert (model.peak_idx, model.peak_tou_idx) == (ref.peak_idx, ref.peak_tou_idx)
-
-
-def stacked_highs_arrays(model):
-    """What the node LP handed HiGHS before it permuted the stored rows: the
-    linprog split stacked ``A_ub`` over ``A_eq`` and converted to CSC."""
-    mats = solver._Matrices(model)
-    A = csc_array(vstack((coo_array(mats.A_ub), coo_array(mats.A_eq))))
-    lower = np.concatenate((np.full(len(mats.b_ub), -math.inf), mats.b_eq))
-    upper = np.concatenate((mats.b_ub, mats.b_eq))
-    return A.indptr, A.indices, A.data, lower, upper
-
-
 @settings(max_examples=60, deadline=None)
 @given(case=model_cases())
 def test_family_build_matches_row_by_row_reference(case):
@@ -571,14 +586,15 @@ def test_family_build_matches_row_by_row_reference(case):
     model = lock_charged_visits(model, locked)
     ref = reference_lock(ref, locked)
     assert_same_stored_form(model, ref)
+    assert_same_highs_arrays(model, ref)
 
-    lp = solver._NodeLp(model, model.lb, model.ub).lp
-    start, index, value, lower, upper = stacked_highs_arrays(model)
-    assert np.array_equal(np.asarray(lp.a_matrix_.start_), start)
-    assert np.array_equal(np.asarray(lp.a_matrix_.index_), index)
-    for got, want in ((lp.a_matrix_.value_, value), (lp.row_lower_, lower),
-                      (lp.row_upper_, upper), (lp.col_cost_, model.c)):
-        assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+    # the appends read nothing of the model they extend, so a model whose
+    # stored form was never read gets its arrays in one pass, on first read
+    built = build_static_model(graph, options)
+    deferred = lock_charged_visits(add_terminal_cost(built, targets, weight), locked)
+    assert not {"A", "c", "row_lo"} & set(vars(built))
+    assert_same_stored_form(deferred, ref)
+    assert_same_highs_arrays(deferred, ref)
 
 
 def test_names_are_built_only_on_demand():

@@ -1,13 +1,15 @@
 """Closed-loop tests for the hierarchical receding-horizon controller."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from bebcharge import receding_horizon
-from bebcharge.milp import ChargePlan
+from bebcharge.benchmarks import four_bus_day
+from bebcharge.milp import ChargePlan, window_averages
 from bebcharge.scenario import ChargerType, Scenario, ScheduleBlock, _step_count
 from bebcharge.simulation import (
     TRUTH_DELTA_MIN,
@@ -29,6 +31,13 @@ from bebcharge.receding_horizon import (
 from bebcharge.solver import MilpSolution, SolverError
 
 from helpers import make_bus, single_visit_scenario
+from reference_milp import (
+    assert_same_highs_arrays,
+    assert_same_stored_form,
+    reference_lock,
+    reference_model,
+    reference_terminal_cost,
+)
 
 
 def make_closed_loop(scenario, seed=0, params=None):
@@ -395,6 +404,65 @@ class TestDemandContinuity:
             assert log.window_kw0 == pytest.approx(
                 float(bill["window_kw"][idx]), abs=1e-6
             )
+
+    @pytest.mark.parametrize("window_minutes", [27.0, 30.0])
+    def test_long_demand_windows_keep_their_whole_history(self, window_minutes):
+        # a 27- or 30-minute window on 3-minute steps reads 9 or 10 realized
+        # steps; from window 34 on, the bundled day's realized meter fills
+        # more than 8 of them
+        day = four_bus_day()
+        day = dataclasses.replace(
+            day, rates=dataclasses.replace(day.rates, demand_window_minutes=window_minutes)
+        )
+        plan, _ = nominal_plan(day, 5.0)
+        cfg = HorizonConfig()
+        env, state = make_closed_loop(day)
+        n_sub = int(round(cfg.delta_rh_minutes / TRUTH_DELTA_MIN))
+        for i in range(40):
+            outcome = plan_horizon(day, plan, cfg, state)
+            steps = env.meter_kwh[: n_sub * i].reshape(i, n_sub).sum(axis=1)
+            realized = window_averages(steps, cfg.delta_rh_minutes, window_minutes)[-1]
+            assert outcome.window_kw0 == pytest.approx(realized, abs=1e-6), i
+            execute_first_step(env, outcome.plan, cfg, state)
+        assert len(state.energy_history) == window_minutes // cfg.delta_rh_minutes
+        assert env.meter_kwh[: n_sub * 40].sum() > 0.0
+
+
+class TestWindowModels:
+    def test_window_sequence_matches_the_reference_build(self, monkeypatch):
+        # every stored model and node-LP input of the first 30 windows of the
+        # bundled day under noise seed 2024 against the row-by-row reference
+        # build plus its terminal and lock appends; a charger is first
+        # attached at window 26 and a visit first locked at window 27
+        day = four_bus_day()
+        plan, _ = nominal_plan(day, 5.0)
+        cfg = HorizonConfig()
+        build = receding_horizon._build_horizon_model
+        seen = []
+
+        def checked(scenario, reference, cfg, state, soft_min):
+            model = build(scenario, reference, cfg, state, soft_min)
+            t_end = min(state.t_min + cfg.horizon_minutes, scenario.day_end_min)
+            ref = reference_model(model.graph, model.options)
+            ref = reference_terminal_cost(
+                ref, interpolate_reference_soc(reference, t_end),
+                cfg.resolved_terminal_weight(scenario),
+            )
+            if state.charged_visits:
+                ref = reference_lock(ref, state.charged_visits)
+            assert_same_stored_form(model, ref)
+            assert_same_highs_arrays(model, ref)
+            seen.append((bool(state.attachments), "lock" in ref.families))
+            return model
+
+        monkeypatch.setattr(receding_horizon, "_build_horizon_model", checked)
+        env, state = make_closed_loop(day, seed=2024, params=NoiseParams())
+        for _ in range(30):
+            outcome = plan_horizon(day, plan, cfg, state)
+            execute_first_step(env, outcome.plan, cfg, state)
+        assert len(seen) >= 30
+        assert any(attached for attached, _ in seen)
+        assert any(locked for _, locked in seen)
 
 
 class TestDeterminism:

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -185,6 +186,38 @@ def test_node_lp_retries_on_a_fresh_dual_simplex(monkeypatch):
     got = lp.solve(lb0, ub0)
     assert len(runs) == 2 and runs[1] is not lp.highs
     assert_same_lp_answer(got, linprog_reference(mats, lb0, ub0, method="highs-ds"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_rows=st.integers(1, 40), n_cols=st.integers(1, 40),
+       density=st.floats(0.0, 0.6))
+def test_permuted_csc_matches_scipy(seed, n_rows, n_cols, density):
+    # a random CSR with explicit zeros and rows in any column order, its rows
+    # split into one-sided (scaled by +-1) and equality rows
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n_rows, n_cols)) < density, rng.normal(size=(n_rows, n_cols)), 0.0)
+    dense[rng.random((n_rows, n_cols)) < 0.05] = -0.0
+    rows, cols = np.nonzero((dense != 0.0) | np.signbit(dense))
+    shuffled = np.lexsort((rng.random(len(rows)), rows))
+    A = sp.csr_matrix((dense[rows, cols][shuffled], cols[shuffled],
+                       np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows))))),
+                      shape=(n_rows, n_cols))
+    ineq = np.flatnonzero(rng.random(n_rows) < 0.5)
+    eq = np.setdiff1d(np.arange(n_rows), ineq)
+    sign = np.where(rng.random(len(ineq)) < 0.5, 1.0, -1.0)
+    B = A[np.concatenate((ineq, eq))]
+    B.data *= np.repeat(np.concatenate((sign, np.ones(len(eq)))), np.diff(B.indptr))
+    B.sum_duplicates()
+    B = B.tocsc()
+    start, index, value = solver._permuted_csc(A, ineq, sign, eq)
+    assert start.tolist() == B.indptr.tolist() and index.tolist() == B.indices.tolist()
+    assert value.tobytes() == B.data.tobytes()
+
+
+def test_permuted_csc_rejects_a_repeated_entry():
+    A = sp.csr_matrix((np.array([1.0, 2.0]), np.array([0, 0]), np.array([0, 2])), shape=(1, 1))
+    with pytest.raises(solver.SolverError, match="holds a column twice"):
+        solver._permuted_csc(A, np.array([0]), np.array([1.0]), np.array([], dtype=np.int64))
 
 
 @pytest.mark.parametrize(
