@@ -711,6 +711,25 @@ def step_overlap_minutes(
     )
 
 
+def step_load_kwh(
+    scenario: Scenario, step_starts: np.ndarray, delta_min: float
+) -> np.ndarray:
+    """Uncontrolled meter load in kWh per grid step [s, s + delta_min).
+
+    Each load-profile row's energy is spread evenly up to the next row's
+    time (the last row's up to the day's end, at least one minute).
+    """
+    load = np.zeros(step_starts.size)
+    if scenario.load_profile:
+        times = [t for t, _ in scenario.load_profile]
+        energies = [kwh for _, kwh in scenario.load_profile]
+        ends = times[1:] + [float(max(scenario.day_end_min, times[-1] + 1))]
+        for t_i, e_i, t_next in zip(times, energies, ends):
+            power = e_i / ((t_next - t_i) / 60.0)
+            load += power * step_overlap_minutes(step_starts, delta_min, t_i, t_next) / 60.0
+    return load
+
+
 def _step_count(t0_min: float, t_end_min: float, delta_minutes: float) -> int:
     """Whole grid steps of ``delta_minutes`` in [t0_min, t_end_min)."""
     return int(math.floor((t_end_min - t0_min) / delta_minutes + 1e-9))
@@ -742,7 +761,6 @@ def discretize(
     instants = t0 + delta_minutes * np.arange(n_steps + 1)
     step_starts = instants[:-1]
     discharge = np.zeros((len(scenario.buses), n_steps))
-    load = np.zeros(n_steps)
 
     visits: List[Visit] = []
     for j, bus in enumerate(scenario.buses):
@@ -771,14 +789,6 @@ def discretize(
                         )
                     )
 
-    if scenario.load_profile:
-        times = [t for t, _ in scenario.load_profile]
-        energies = [kwh for _, kwh in scenario.load_profile]
-        ends = times[1:] + [float(max(scenario.day_end_min, times[-1] + 1))]
-        for t_i, e_i, t_next in zip(times, energies, ends):
-            power = e_i / ((t_next - t_i) / 60.0)
-            load += power * step_overlap_minutes(step_starts, delta_minutes, t_i, t_next) / 60.0
-
     return DiscreteInstance(
         scenario=scenario,
         t0_min=t0,
@@ -786,7 +796,7 @@ def discretize(
         n_steps=n_steps,
         visits=tuple(visits),
         discharge_kwh=discharge,
-        load_kwh=load,
+        load_kwh=step_load_kwh(scenario, step_starts, delta_minutes),
         step_rate=consumption_rate_at(scenario.rates, step_starts),
         instant_in_peak=in_peak_window(scenario.rates, instants),
     )

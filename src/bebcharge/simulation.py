@@ -21,23 +21,37 @@ that does not depend on the battery level (drive energy and its noise,
 presence, visits, charger noise), so one kernel does only the clamps, the
 exact CC-CV gain and the meter.
 
-Three strategies can drive the environment: a reactive threshold heuristic
-(:func:`strategy_qin`) and the hierarchical receding-horizon controller
-(dispatched lazily to :mod:`bebcharge.receding_horizon`) step it a minute at
-a time, while open-loop replay of a precomputed plan
-(:func:`strategy_open_loop`) builds the whole day's command table up front
-and runs it through the kernel in one call.  Monte-Carlo and multi-day
-drivers aggregate runs into permutation-invariant reports.
+Three strategies can drive the environment.  The hierarchical
+receding-horizon controller (dispatched lazily to
+:mod:`bebcharge.receding_horizon`) steps it a minute at a time.  The reactive
+threshold heuristic (:func:`strategy_qin`) steps only plugged-in buses minute
+by minute, advances every other bus a stretch at a time when its level is
+next read, and skips minutes in which nobody is plugged in or waiting.
+Open-loop replay of a precomputed plan (:func:`strategy_open_loop`) builds
+the whole day's command table up front and runs it through the kernel in one
+call.  Monte-Carlo and multi-day drivers aggregate runs into
+permutation-invariant reports.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -45,7 +59,6 @@ from .charge_model import ContinuousChargeParams, simulate_exact
 from .graph import build_action_graph
 from .milp import ChargePlan, ModelOptions, build_static_model, extract_plan
 from .scenario import (
-    Bus,
     ChargerType,
     RateSchedule,
     Scenario,
@@ -54,6 +67,7 @@ from .scenario import (
     consumption_rate_at,
     discretize,
     in_peak_window,
+    step_load_kwh,
     step_overlap_minutes,
 )
 from .solver import MilpSolution, SolveLimits, branch_and_bound
@@ -62,6 +76,9 @@ TRUTH_DELTA_MIN = 1.0
 
 # the reactive heuristic queues a bus arriving below this share of capacity
 QIN_THRESHOLD = 0.7
+
+# the commands of a minute in which no bus is plugged in
+_IDLE: Mapping[str, Tuple[str, float]] = {}
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -243,11 +260,19 @@ class TruthEnvironment:
     its bias and white-noise terms, the presence hours and the visit span,
     next to the bus's capacity and CC-CV parameters per charger type; per
     charger type, its bias, its white-noise sigma and its row of white
-    draws.  One kernel, :meth:`_run_minutes`, then steps a table of
-    per-minute commands through the level-dependent work only: the clamps,
-    :func:`~bebcharge.charge_model.simulate_exact` and the meter.
-    :meth:`advance` hands it one minute (the reactive and closed-loop
-    controllers); open-loop replay hands it the whole day at once.
+    draws.  The set-up reads only what a run changes: the perturbed
+    arrivals end the driving spans and start the visits, all spans'
+    overlaps with the minutes they cover are computed in one array step,
+    and each span fills its stretch of the per-minute rows.
+
+    One kernel, :meth:`_run_bus`, steps one bus through a stretch of minutes
+    under per-minute commands, doing the level-dependent work only: the
+    clamps, :func:`~bebcharge.charge_model.simulate_exact` and the meter.
+    :meth:`_run_minutes` runs it bus by bus over a table of commands (open-loop
+    replay hands it the whole day at once) and :meth:`advance` over one
+    minute (the closed-loop controller); the reactive heuristic calls it
+    directly, for plugged-in buses minute by minute and for the others a
+    stretch at a time.
     """
 
     def __init__(
@@ -256,63 +281,89 @@ class TruthEnvironment:
         self.scenario = scenario
         self.noise = noise
         self.params = params
-        self.instance = discretize(scenario, TRUTH_DELTA_MIN)
-        self.n_steps = self.instance.n_steps
-        self.t0_min = self.instance.t0_min
+        self.t0_min = scenario.day_start_min
+        self.n_steps = _step_count(
+            scenario.day_start_min, scenario.day_end_min, TRUTH_DELTA_MIN
+        )
         self.bus_ids = [b.id for b in scenario.buses]
         self._bus_index = {b: j for j, b in enumerate(self.bus_ids)}
-        self._bus_by_id = {b.id: b for b in scenario.buses}
         self._charger_by_id = {ct.id: ct for ct in scenario.charger_types}
         self.arrivals = perturb_arrivals(scenario, noise.arrival_shift_s)
 
-        n_b, n_s = len(self.bus_ids), self.n_steps
-        starts = self.t0_min + TRUTH_DELTA_MIN * np.arange(n_s)
-        drive_kwh = np.zeros((n_b, n_s))
-        drive_minutes = np.zeros((n_b, n_s))
-        presence_hours = np.zeros((n_b, n_s))
-        visit_of_step: List[List[Optional["_VisitSpan"]]] = [
-            [None] * n_s for _ in range(n_b)
-        ]
+        # every driving span and every visit as [begin, end) minutes, bus by
+        # bus in block order
+        route_bus: List[int] = []
+        route_begin: List[float] = []
+        route_end: List[float] = []
+        route_power: List[float] = []
+        visit_bus: List[int] = []
         self.visit_spans: Dict[str, "_VisitSpan"] = {}
         for j, bus in enumerate(scenario.buses):
-            for bi, block in enumerate(bus.schedule):
+            schedule = bus.schedule
+            for bi, block in enumerate(schedule):
                 if block.kind == "on_route":
                     end = float(block.end_min)
                     nxt = bi + 1
-                    if (
-                        nxt < len(bus.schedule)
-                        and bus.schedule[nxt].kind == "in_station"
-                    ):
+                    if nxt < len(schedule) and schedule[nxt].kind == "in_station":
                         # driving continues until the (perturbed) arrival
                         end = self.arrivals[f"{bus.id}:v{nxt}"]
-                    ov = step_overlap_minutes(
-                        starts, TRUTH_DELTA_MIN, block.start_min, end
-                    )
-                    drive_minutes[j] += ov
-                    drive_kwh[j] += block.route_power_kw * ov / 60.0
+                    route_bus.append(j)
+                    route_begin.append(block.start_min)
+                    route_end.append(end)
+                    route_power.append(block.route_power_kw)
                 elif block.kind == "in_station":
                     vid = f"{bus.id}:v{bi}"
-                    span = _VisitSpan(
+                    self.visit_spans[vid] = _VisitSpan(
                         id=vid,
                         bus_id=bus.id,
                         arrival_min=self.arrivals[vid],
                         end_min=float(block.end_min),
                         charger_type_ids=tuple(block.charger_type_ids),
                     )
-                    self.visit_spans[vid] = span
-                    ov = step_overlap_minutes(
-                        starts, TRUTH_DELTA_MIN, span.arrival_min, span.end_min
-                    )
-                    presence_hours[j] += ov / 60.0
-                    for k in np.nonzero(ov > 0)[0]:
-                        visit_of_step[j][int(k)] = span
+                    visit_bus.append(j)
+        spans = list(self.visit_spans.values())
+
+        # each span's overlap with the minutes it covers, the driving spans'
+        # first; bincount adds them up cell by cell in input order, so in
+        # block order
+        n_b, n_s = len(self.bus_ids), self.n_steps
+        cells = n_b * n_s
+        lo, hi, owner, cell, ov = _minute_cover(
+            self.t0_min,
+            n_s,
+            route_bus + visit_bus,
+            route_begin + [v.arrival_min for v in spans],
+            route_end + [v.end_min for v in spans],
+        )
+        n_r = len(route_bus)
+        m = sum(hi[:n_r]) - sum(lo[:n_r])
+        power = np.array(route_power, dtype=float)[owner[:m]]
+        drive_minutes = np.bincount(cell[:m], ov[:m], cells).reshape(n_b, n_s)
+        drive_kwh = np.bincount(cell[:m], power * ov[:m] / 60.0, cells)
+        presence_hours = np.bincount(cell[m:], ov[m:] / 60.0, cells)
+        # rows read off the spans' minutes; every other minute has no visit,
+        # no presence and no drive kWh (None, not 0.0)
+        visit_of_step: List[List[Optional["_VisitSpan"]]] = [
+            [None] * n_s for _ in range(n_b)
+        ]
+        presence_rows: List[List[float]] = [[0.0] * n_s for _ in range(n_b)]
+        for j, span, k0, k1 in zip(visit_bus, spans, lo[n_r:], hi[n_r:]):
+            visit_of_step[j][k0:k1] = [span] * (k1 - k0)
+            first = j * n_s
+            presence_rows[j][k0:k1] = presence_hours[first + k0 : first + k1].tolist()
+        kwh_rows: List[List[Optional[float]]] = [[None] * n_s for _ in range(n_b)]
+        for j, k0, k1 in zip(route_bus, lo, hi[:n_r]):
+            first = j * n_s
+            kwh_rows[j][k0:k1] = drive_kwh[first + k0 : first + k1].tolist()
 
         self.soc = {
             b.id: b.initial_soc * b.capacity_kwh for b in scenario.buses
         }
         self.soc_series = np.zeros((n_b, n_s + 1))
         self.soc_series[:, 0] = [self.soc[b] for b in self.bus_ids]
-        self.meter_kwh = self.instance.load_kwh.copy()
+        self.meter_kwh = step_load_kwh(
+            scenario, self.t0_min + TRUTH_DELTA_MIN * np.arange(n_s), TRUTH_DELTA_MIN
+        )
         self.charge_gain_kwh = np.zeros((n_b, n_s))
         self.charge_type: List[List[Optional[str]]] = [
             [None] * n_s for _ in range(n_b)
@@ -328,11 +379,8 @@ class TruthEnvironment:
             * np.sqrt(drive_minutes * 60.0)
             * noise.white_discharge[:, :n_s]
         )
-        # a minute without driving has no drive kWh: None, not 0.0
-        kwh = drive_kwh.astype(object)
-        kwh[~(drive_minutes > 0)] = None
-        kwh_rows, bias_rows = kwh.tolist(), drive_bias.tolist()
-        white_rows, presence_rows = drive_white.tolist(), presence_hours.tolist()
+        bias_rows = drive_bias.tolist()
+        white_rows = drive_white.tolist()
         self._buses = [
             _BusTables(
                 bus_id=bus.id,
@@ -374,9 +422,6 @@ class TruthEnvironment:
     def visit_at(self, bus_id: str, k: int) -> Optional["_VisitSpan"]:
         return self._buses[self._bus_index[bus_id]].visits[k]
 
-    def bus(self, bus_id: str) -> Bus:
-        return self._bus_by_id[bus_id]
-
     def charger(self, type_id: str) -> ChargerType:
         return self._charger_by_id[type_id]
 
@@ -400,14 +445,31 @@ class TruthEnvironment:
         table in turn.
         """
         k0 = self._k
-        last = k0 + len(table) - 1
-        if last >= self.n_steps:
+        if k0 + len(table) > self.n_steps:
             raise RuntimeError("day already finished")
-        exact = simulate_exact
-        meter = self.meter_kwh
-        type_terms = self._type_terms
         realized: Dict[str, float] = {}
-        for (
+        for bus in self._buses:
+            gained = self._run_bus(bus, k0, table)
+            if gained is not None:
+                realized[bus.bus_id] = gained
+        self._k = k0 + len(table)
+        return realized
+
+    def _run_bus(
+        self,
+        bus: "_BusTables",
+        k0: int,
+        table: Iterable[Mapping[str, Tuple[str, float]]],
+    ) -> Optional[float]:
+        """The minute kernel: step one bus from its current level through
+        minutes ``k0, k0 + 1, ...``, minute ``k0 + i`` under its command in
+        ``table[i]``; returns its realized charge kWh in the last of them,
+        or None if it did not charge then.
+
+        The caller keeps the minutes inside the day and steps each minute's
+        charging buses in bus order, the order the meter adds them up in.
+        """
+        (
             bus_id,
             cap,
             drive_kwh,
@@ -419,49 +481,85 @@ class TruthEnvironment:
             levels,
             gains,
             types,
-        ) in self._buses:
-            soc = self.soc[bus_id]
-            for k, commands in enumerate(table, k0):
-                kwh = drive_kwh[k]
-                if kwh is not None:
-                    soc = soc - kwh + drive_bias[k] + drive_white[k]
-                    if soc < 0.0:
-                        soc = 0.0
-                    elif soc > cap:
-                        soc = cap
-                cmd = commands.get(bus_id)
-                if cmd is not None:
-                    tid, power_kw = cmd
-                    span = visits[k]
-                    pres_h = presence[k]
-                    if (
-                        span is not None
-                        and pres_h > 0
-                        and tid in span.charger_type_ids
-                    ):
-                        attainable = exact(charge_params[tid], soc, pres_h) - soc
-                        beta, sigma, white_row = type_terms[tid]
-                        delta = (
-                            min(power_kw * pres_h, attainable)
-                            + beta * pres_h
-                            + sigma * math.sqrt(pres_h * 3600.0) * white_row[k]
-                        )
-                        new_soc = soc + delta
-                        if new_soc < 0.0:
-                            new_soc = 0.0
-                        elif new_soc > cap:
-                            new_soc = cap
-                        gained = new_soc - soc
-                        meter[k] += max(0.0, gained)
-                        gains[k] = gained
-                        types[k] = tid
-                        if k == last:
-                            realized[bus_id] = gained
-                        soc = new_soc
-                levels[k + 1] = soc
-            self.soc[bus_id] = soc
-        self._k = last + 1
-        return realized
+        ) = bus
+        exact = simulate_exact
+        meter = self.meter_kwh
+        type_terms = self._type_terms
+        soc = self.soc[bus_id]
+        k, charged = None, -1
+        gained = 0.0
+        for k, commands in enumerate(table, k0):
+            kwh = drive_kwh[k]
+            if kwh is not None:
+                soc = soc - kwh + drive_bias[k] + drive_white[k]
+                if soc < 0.0:
+                    soc = 0.0
+                elif soc > cap:
+                    soc = cap
+            cmd = commands.get(bus_id)
+            if cmd is not None:
+                tid, power_kw = cmd
+                span = visits[k]
+                pres_h = presence[k]
+                if span is not None and pres_h > 0 and tid in span.charger_type_ids:
+                    attainable = exact(charge_params[tid], soc, pres_h) - soc
+                    beta, sigma, white_row = type_terms[tid]
+                    delta = (
+                        min(power_kw * pres_h, attainable)
+                        + beta * pres_h
+                        + sigma * math.sqrt(pres_h * 3600.0) * white_row[k]
+                    )
+                    new_soc = soc + delta
+                    if new_soc < 0.0:
+                        new_soc = 0.0
+                    elif new_soc > cap:
+                        new_soc = cap
+                    gained = new_soc - soc
+                    meter[k] += max(0.0, gained)
+                    gains[k] = gained
+                    types[k] = tid
+                    charged = k
+                    soc = new_soc
+            levels[k + 1] = soc
+        self.soc[bus_id] = soc
+        return gained if charged == k else None
+
+
+def _minute_cover(
+    t0_min: float,
+    n_steps: int,
+    rows: Sequence[int],
+    begin: Sequence[float],
+    end: Sequence[float],
+) -> Tuple[List[int], List[int], np.ndarray, np.ndarray, np.ndarray]:
+    """The truth minutes that spans [begin[i], end[i]) of table rows
+    ``rows[i]`` overlap.
+
+    Span i overlaps exactly minutes ``lo[i] <= k < hi[i]`` (none when it is
+    empty), each by a positive share.  Returns ``lo`` and ``hi``, then span
+    by span, for each minute it overlaps, the span's index, the flat cell
+    ``rows[i] * n_steps + k`` and the overlap in minutes as
+    :func:`step_overlap_minutes` computes it.
+    """
+    lo: List[int] = []
+    hi: List[int] = []
+    for b, e in zip(begin, end):
+        k0 = min(max(math.floor(b - t0_min), 0), n_steps)
+        lo.append(k0)
+        hi.append(min(max(math.ceil(e - t0_min), k0), n_steps) if b < e else k0)
+    length = np.subtract(hi, lo)
+    owner = np.repeat(np.arange(length.size), length)
+    first = np.cumsum(length) - length  # each span's first entry
+    k = np.arange(owner.size) + np.repeat(np.subtract(lo, first), length)
+    starts = t0_min + TRUTH_DELTA_MIN * k
+    ov = step_overlap_minutes(
+        starts,
+        TRUTH_DELTA_MIN,
+        np.array(begin, dtype=float)[owner],
+        np.array(end, dtype=float)[owner],
+    )
+    cell = np.array(rows, dtype=np.intp)[owner] * n_steps + k
+    return lo, hi, owner, cell, ov
 
 
 @dataclass(frozen=True)
@@ -588,7 +686,16 @@ class _QinController:
     perturbed arrival time, then bus id), connects to the fastest free
     charger type its station offers (highest CC power, ties by type id), and
     draws the full CC-CV rate until it reaches its maximum level or departs.
-    Queueing and hand-offs happen at whole-minute boundaries.
+    Queueing and hand-offs happen at whole-minute boundaries: a bus is
+    considered at the first minute its visit covers at or after its
+    perturbed arrival.
+
+    Only plugged-in buses are stepped minute by minute, in bus order.  A bus
+    without a command changes nothing but its own level, so it advances
+    lazily, one kernel call per stretch, up to the minute its level is next
+    read (its arrival, its wait in the queue, its connection) or the end of
+    the day.  A minute with nobody connected and nobody waiting jumps to the
+    next arrival.
     """
 
     def __init__(self, env: TruthEnvironment) -> None:
@@ -596,54 +703,106 @@ class _QinController:
         self.free = {ct.id: ct.count for ct in env.scenario.charger_types}
         self.connected: Dict[str, str] = {}
         self.queue: List[Tuple[float, str]] = []
-        self._seen_visits: set = set()
+        # per bus: the minute its level has been stepped to
+        self._at = [0] * len(env.bus_ids)
 
-    def commands(self) -> Dict[str, Tuple[str, float]]:
+    def _arrivals(self) -> List[Tuple[int, int, "_VisitSpan"]]:
+        """``(minute, bus index, visit)`` for every visit the controller
+        will see, in the order it sees them."""
         env = self.env
-        k = env.minute_index
-        t = env.t0_min + k * TRUTH_DELTA_MIN
+        t0 = env.t0_min
+        out = []
+        for span in env.visit_spans.values():
+            j = env._bus_index[span.bus_id]
+            row = env._buses[j].visits
+            lo = max(0, math.floor(span.arrival_min - t0))
+            hi = min(env.n_steps, math.ceil(span.end_min - t0))
+            for k in range(lo, hi):
+                t = t0 + k * TRUTH_DELTA_MIN
+                if row[k] is span and span.arrival_min <= t + 1e-9:
+                    out.append((k, j, span))
+                    break
+        out.sort(key=lambda a: a[:2])
+        return out
 
-        # releases: departure or target level reached
-        for bus_id in list(self.connected):
-            span = env.visit_at(bus_id, k) if k < env.n_steps else None
-            bus = env.bus(bus_id)
-            target = bus.max_soc * bus.capacity_kwh
-            if span is None or env.soc[bus_id] >= target - 1e-9:
-                self.free[self.connected.pop(bus_id)] += 1
+    def _catch_up(self, j: int, k: int) -> None:
+        """Step bus ``j``, which has no command, up to minute ``k``."""
+        at = self._at[j]
+        if at < k:
+            self.env._run_bus(self.env._buses[j], at, itertools.repeat(_IDLE, k - at))
+            self._at[j] = k
 
-        # arrivals: a bus is considered at the first whole-minute boundary
-        # at or after its (perturbed) arrival, and queues if below threshold
-        for bus in env.scenario.buses:
-            span = env.visit_at(bus.id, k)
-            if span is None or span.id in self._seen_visits:
-                continue
-            if span.arrival_min <= t + 1e-9:
-                self._seen_visits.add(span.id)
-                if env.soc[bus.id] < QIN_THRESHOLD * bus.capacity_kwh:
-                    self.queue.append((span.arrival_min, bus.id))
+    def run(self) -> None:
+        """Control the whole day."""
+        env = self.env
+        buses, index, level = env._buses, env._bus_index, env.soc
+        connected, free = self.connected, self.free
+        threshold = [QIN_THRESHOLD * b.capacity_kwh for b in env.scenario.buses]
+        full = {b.id: b.max_soc * b.capacity_kwh - 1e-9 for b in env.scenario.buses}
+        arrivals = self._arrivals()
+        a = 0
+        # the connected buses in bus order, and their commands
+        plugged: List[int] = []
+        commands: Tuple[Mapping[str, Tuple[str, float]], ...] = (_IDLE,)
+        k = 0
+        while k < env.n_steps:
+            if not connected and not self.queue:
+                if a == len(arrivals):
+                    break
+                k = arrivals[a][0]
+            changed = False
+
+            # releases: departure or target level reached
+            for bus_id in list(connected):
+                departed = buses[index[bus_id]].visits[k] is None
+                if departed or level[bus_id] >= full[bus_id]:
+                    free[connected.pop(bus_id)] += 1
+                    changed = True
+
+            # arrivals: queue if below threshold
+            while a < len(arrivals) and arrivals[a][0] == k:
+                _, j, span = arrivals[a]
+                a += 1
+                self._catch_up(j, k)
+                if level[span.bus_id] < threshold[j]:
+                    self.queue.append((span.arrival_min, span.bus_id))
                     self.queue.sort()
 
-        # service the queue in FIFO order
-        still_waiting: List[Tuple[float, str]] = []
-        for key, bus_id in self.queue:
-            span = env.visit_at(bus_id, k)
-            bus = env.bus(bus_id)
-            if span is None:
-                continue  # departed while waiting
-            if env.soc[bus_id] >= QIN_THRESHOLD * bus.capacity_kwh:
-                continue  # no longer below threshold
-            options = sorted(
-                (ct_id for ct_id in span.charger_type_ids if self.free[ct_id] > 0),
-                key=lambda ct_id: (-env.charger(ct_id).p_cc_kw, ct_id),
-            )
-            if options:
-                self.free[options[0]] -= 1
-                self.connected[bus_id] = options[0]
-            else:
-                still_waiting.append((key, bus_id))
-        self.queue = still_waiting
+            # service the queue in FIFO order
+            if self.queue:
+                still_waiting: List[Tuple[float, str]] = []
+                for key, bus_id in self.queue:
+                    j = index[bus_id]
+                    span = buses[j].visits[k]
+                    if span is None:
+                        continue  # departed while waiting
+                    self._catch_up(j, k)
+                    if level[bus_id] >= threshold[j]:
+                        continue  # no longer below threshold
+                    options = sorted(
+                        (ct_id for ct_id in span.charger_type_ids if free[ct_id] > 0),
+                        key=lambda ct_id: (-env.charger(ct_id).p_cc_kw, ct_id),
+                    )
+                    if options:
+                        free[options[0]] -= 1
+                        connected[bus_id] = options[0]
+                        changed = True
+                    else:
+                        still_waiting.append((key, bus_id))
+                self.queue = still_waiting
 
-        return {b: (tid, math.inf) for b, tid in self.connected.items()}
+            # a connected bus was stepped through the minute before, or
+            # caught up when it connected
+            if changed:
+                commands = ({b: (tid, math.inf) for b, tid in connected.items()},)
+                plugged = sorted(index[b] for b in connected)
+            for j in plugged:
+                env._run_bus(buses[j], k, commands)
+                self._at[j] = k + 1
+            k += 1
+        for j in range(len(buses)):
+            self._catch_up(j, env.n_steps)
+        env._k = env.n_steps
 
 
 class _OpenLoopController:
@@ -741,9 +900,7 @@ def _finalize_run(
 def strategy_qin(env: TruthEnvironment) -> SimRun:
     """Run the reactive threshold heuristic (:data:`QIN_THRESHOLD`) to the
     end of the day."""
-    controller = _QinController(env)
-    while not env.done:
-        env.advance(controller.commands())
+    _QinController(env).run()
     return _finalize_run(env, "qin")
 
 

@@ -488,3 +488,15 @@ def test_discretize_matches_the_scalar_step_walk(case):
          v.start_min, v.end_min)
         for v in inst.visits
     ] == visits
+
+
+@pytest.mark.parametrize("delta", [1.0, 2.5, 5.0])
+@pytest.mark.parametrize("shift", [-10, 3, 17])
+def test_discretize_load_for_windows_off_the_day_start(delta, shift):
+    # windows starting before, or part-way into, the profile's rows
+    scenario = tiny_scenario(load_profile=((295, 1.0), (310, 4.0), (333, 2.5)))
+    t0 = scenario.day_start_min + shift
+    inst = discretize(scenario, delta, t0_min=t0)
+    load = scalar_discretize(scenario, delta, t0)[1]
+    assert inst.load_kwh.tobytes() == load.tobytes()
+    assert inst.load_kwh.sum() > 0.0

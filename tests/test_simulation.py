@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bebcharge.benchmarks import four_bus_day
 from bebcharge.charge_model import simulate_exact
 from bebcharge.milp import ChargePlan, window_averages
 from bebcharge.scenario import (
@@ -21,7 +22,6 @@ from bebcharge.scenario import (
     charging_params,
     discretize,
     generate_random_scenario,
-    step_overlap_minutes,
 )
 from bebcharge.simulation import (
     TRUTH_DELTA_MIN,
@@ -30,8 +30,6 @@ from bebcharge.simulation import (
     RunNoise,
     SimRun,
     TruthEnvironment,
-    _finalize_run,
-    _VisitSpan,
     billing_oracle,
     monte_carlo,
     multi_day,
@@ -47,6 +45,13 @@ from bebcharge.simulation import (
 )
 
 from helpers import make_bus, mini_scenario, single_visit_scenario, two_type_scenario
+from reference_simulation import (
+    ReferenceEnvironment,
+    ReferenceQin,
+    reference_open_loop,
+    reference_qin,
+    reference_tables,
+)
 from test_milp import exact_window_power
 
 
@@ -446,165 +451,6 @@ def test_truth_levels_follow_charge_minus_drive(scenario_seed, noise_seed, comma
 # the tabulated minute kernel against the per-minute reference
 
 
-class ReferenceEnvironment:
-    """The truth model as one minute at a time, bus by bus, reading the
-    geometry arrays and the noise record directly.  The kernel in
-    ``TruthEnvironment`` must reproduce it byte for byte."""
-
-    def __init__(self, scenario, noise, params):
-        self.scenario = scenario
-        self.noise = noise
-        self.params = params
-        self.instance = discretize(scenario, TRUTH_DELTA_MIN)
-        self.n_steps = self.instance.n_steps
-        self.t0_min = self.instance.t0_min
-        self.bus_ids = [b.id for b in scenario.buses]
-        self._bus_by_id = {b.id: b for b in scenario.buses}
-        self._type_index = {ct.id: i for i, ct in enumerate(scenario.charger_types)}
-        self._charger_by_id = {ct.id: ct for ct in scenario.charger_types}
-        self._charge_params = {
-            (bus.id, ct.id): charging_params(bus, ct)
-            for bus in scenario.buses
-            for ct in scenario.charger_types
-        }
-        self.arrivals = perturb_arrivals(scenario, noise.arrival_shift_s)
-
-        n_b, n_s = len(self.bus_ids), self.n_steps
-        starts = self.t0_min + TRUTH_DELTA_MIN * np.arange(n_s)
-        self._drive_kwh = np.zeros((n_b, n_s))
-        self._drive_minutes = np.zeros((n_b, n_s))
-        self._presence_hours = np.zeros((n_b, n_s))
-        self._visit_of_step = [[None] * n_s for _ in range(n_b)]
-        for j, bus in enumerate(scenario.buses):
-            for bi, block in enumerate(bus.schedule):
-                if block.kind == "on_route":
-                    end = float(block.end_min)
-                    nxt = bi + 1
-                    if nxt < len(bus.schedule) and bus.schedule[nxt].kind == "in_station":
-                        end = self.arrivals[f"{bus.id}:v{nxt}"]
-                    ov = step_overlap_minutes(starts, TRUTH_DELTA_MIN, block.start_min, end)
-                    self._drive_minutes[j] += ov
-                    self._drive_kwh[j] += block.route_power_kw * ov / 60.0
-                elif block.kind == "in_station":
-                    vid = f"{bus.id}:v{bi}"
-                    span = _VisitSpan(
-                        id=vid,
-                        bus_id=bus.id,
-                        arrival_min=self.arrivals[vid],
-                        end_min=float(block.end_min),
-                        charger_type_ids=tuple(block.charger_type_ids),
-                    )
-                    ov = step_overlap_minutes(
-                        starts, TRUTH_DELTA_MIN, span.arrival_min, span.end_min
-                    )
-                    self._presence_hours[j] += ov / 60.0
-                    for k in np.nonzero(ov > 0)[0]:
-                        self._visit_of_step[j][int(k)] = span
-
-        self.soc = {b.id: b.initial_soc * b.capacity_kwh for b in scenario.buses}
-        self.soc_series = np.zeros((n_b, n_s + 1))
-        self.soc_series[:, 0] = [self.soc[b] for b in self.bus_ids]
-        self.meter_kwh = self.instance.load_kwh.copy()
-        self.charge_gain_kwh = np.zeros((n_b, n_s))
-        self.charge_type = [[None] * n_s for _ in range(n_b)]
-        self._k = 0
-
-    @property
-    def minute_index(self):
-        return self._k
-
-    @property
-    def done(self):
-        return self._k >= self.n_steps
-
-    def presence_hours(self, bus_id, k):
-        return float(self._presence_hours[self.bus_ids.index(bus_id), k])
-
-    def visit_at(self, bus_id, k):
-        return self._visit_of_step[self.bus_ids.index(bus_id)][k]
-
-    def bus(self, bus_id):
-        return self._bus_by_id[bus_id]
-
-    def charger(self, type_id):
-        return self._charger_by_id[type_id]
-
-    def advance(self, commands):
-        if self.done:
-            raise RuntimeError("day already finished")
-        k = self._k
-        realized = {}
-        for j, bus_id in enumerate(self.bus_ids):
-            bus = self._bus_by_id[bus_id]
-            cap = bus.capacity_kwh
-            soc = self.soc[bus_id]
-
-            drive_min = self._drive_minutes[j, k]
-            if drive_min > 0:
-                dt_s = drive_min * 60.0
-                soc = (
-                    soc
-                    - self._drive_kwh[j, k]
-                    + self.noise.beta_discharge_kw[bus_id] * (drive_min / 60.0)
-                    + self.params.discharge_white_kwh_per_sqrt_s
-                    * math.sqrt(dt_s)
-                    * self.noise.white_discharge[j, k]
-                )
-                soc = min(max(soc, 0.0), cap)
-
-            cmd = commands.get(bus_id)
-            if cmd is not None:
-                tid, power_kw = cmd
-                span = self._visit_of_step[j][k]
-                pres_h = self._presence_hours[j, k]
-                if span is not None and pres_h > 0 and tid in span.charger_type_ids:
-                    cp = self._charge_params[(bus_id, tid)]
-                    attainable = simulate_exact(cp, soc, pres_h) - soc
-                    base = min(power_kw * pres_h, attainable)
-                    ti = self._type_index[tid]
-                    charger = self._charger_by_id[tid]
-                    delta = (
-                        base
-                        + self.noise.beta_charge_kw[tid] * pres_h
-                        + self.params.charge_white_for(charger)
-                        * math.sqrt(pres_h * 3600.0)
-                        * self.noise.white_charge[ti, k]
-                    )
-                    new_soc = min(max(soc + delta, 0.0), cap)
-                    gained = new_soc - soc
-                    self.meter_kwh[k] += max(0.0, gained)
-                    self.charge_gain_kwh[j, k] = gained
-                    self.charge_type[j][k] = tid
-                    realized[bus_id] = gained
-                    soc = new_soc
-
-            self.soc[bus_id] = soc
-            self.soc_series[j, k + 1] = soc
-        self._k += 1
-        return realized
-
-
-def reference_open_loop(env, plan):
-    """Replay ``plan`` minute by minute, looking each minute's plan step up."""
-    by_bus_step = {}
-    delta_h = plan.delta_min / 60.0
-    for bus_id, tid, k0, k1 in plan.intervals:
-        for kp in range(k0, k1):
-            gain = plan.gains.get((bus_id, kp, tid), 0.0)
-            by_bus_step[(bus_id, kp)] = (tid, gain / delta_h)
-    while not env.done:
-        t = env.t0_min + env.minute_index * TRUTH_DELTA_MIN
-        kp = int(math.floor((t - plan.t0_min) / plan.delta_min + 1e-9))
-        commands = {}
-        if 0 <= kp < plan.n_steps:
-            for bus_id in env.bus_ids:
-                cmd = by_bus_step.get((bus_id, kp))
-                if cmd is not None:
-                    commands[bus_id] = cmd
-        env.advance(commands)
-    return _finalize_run(env, "open_loop")
-
-
 def bits(x):
     """A float's exact bit pattern (so -0.0 and 0.0 differ)."""
     return float(x).hex()
@@ -621,10 +467,25 @@ def assert_same_run(got, want):
     }
 
 
+# one unit per charger type for five or six buses that arrive half full
+# and dwell up to an hour: buses wait for a charger
+CONTENTION = GeneratorBounds(
+    n_buses=5,
+    initial_soc=0.5,
+    dwell_minutes=(25, 60),
+    charger_specs=(("fast", 1, 120.0, 2.0), ("slow", 1, 40.0, 1.0)),
+)
+
+
 def drawn_day(source, seed):
-    """A ``mini_scenario`` day, or a generated full day of 1-3 buses."""
+    """A ``mini_scenario`` day, a generated full day of 1-3 buses, or a
+    generated contention day of 5-6 buses."""
     if source == "mini":
         return mini_scenario(seed)
+    if source == "contention":
+        return generate_random_scenario(
+            seed, dataclasses.replace(CONTENTION, n_buses=5 + seed % 2)
+        )
     return generate_random_scenario(seed, GeneratorBounds(n_buses=1 + seed % 3))
 
 
@@ -638,24 +499,190 @@ def both_environments(scenario, params, noise_seed):
 
 
 def noise_params(kind):
-    return {"default": NoiseParams(), "zero": NoiseParams.zero()}[kind]
+    return {
+        "default": NoiseParams(),
+        "zero": NoiseParams.zero(),
+        # arrivals shifted by up to an hour: clamped to the previous
+        # departure or to the visit's end
+        "wide_arrivals": NoiseParams(arrival_sigma_s=1800.0),
+    }[kind]
+
+
+def with_load_profile(scenario, rng):
+    """The day with a load profile of one to three rows, the first of them
+    possibly before the day starts."""
+    t0, t1 = scenario.day_start_min, scenario.day_end_min
+    times = sorted(
+        {int(t) for t in rng.integers(t0 - 30, t1 - 1, size=int(rng.integers(1, 4)))}
+    )
+    rows = tuple((t, float(rng.uniform(0.0, 40.0))) for t in times)
+    return dataclasses.replace(scenario, load_profile=rows)
 
 
 day_sources = st.sampled_from(["mini", "generated"])
 noise_kinds = st.sampled_from(["default", "default", "zero"])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    source=day_sources,
+    source=st.sampled_from(["mini", "generated", "contention", "contention"]),
     scenario_seed=st.integers(0, 10_000),
     noise_seed=st.integers(0, 2**32 - 1),
-    kind=noise_kinds,
+    kind=st.sampled_from(["default", "default", "zero", "wide_arrivals"]),
+    load_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
 )
-def test_kernel_matches_reference_qin(source, scenario_seed, noise_seed, kind):
+def test_kernel_matches_reference_qin(source, scenario_seed, noise_seed, kind, load_seed):
+    # the event-driven controller against the per-minute one on the
+    # per-minute truth model; with a load on the meter, the order in which
+    # a minute's charging buses are added up shows in its bits
     scenario = drawn_day(source, scenario_seed)
+    if load_seed is not None:
+        scenario = with_load_profile(scenario, np.random.default_rng(load_seed))
     env, ref = both_environments(scenario, noise_params(kind), noise_seed)
-    assert_same_run(strategy_qin(env), strategy_qin(ref))
+    assert_same_run(strategy_qin(env), reference_qin(ref))
+
+
+def waiting_minutes(env):
+    """Run the per-minute controller; count the bus-minutes spent waiting
+    after a minute's service."""
+    controller = ReferenceQin(env)
+    waiting = 0
+    while not env.done:
+        env.advance(controller.commands())
+        waiting += len(controller.queue)
+    return waiting
+
+
+def test_contention_days_leave_buses_waiting():
+    # the generated contention days reach the queue code that the bundled
+    # and the default generated days never do
+    waits = [
+        waiting_minutes(both_environments(drawn_day("contention", seed), NoiseParams(), 0)[1])
+        for seed in range(4)
+    ]
+    assert all(w > 0 for w in waits), waits
+
+
+def back_to_back_scenario(n_units=1):
+    """Bus ``a`` has two station blocks back to back, bus ``b`` one visit
+    over both."""
+    sc = contention_scenario(initial_soc=0.5, n_units=n_units)
+    a = dataclasses.replace(
+        sc.buses[0],
+        schedule=(
+            ScheduleBlock("on_route", 300, 330, route_power_kw=30.0),
+            ScheduleBlock("in_station", 330, 360, charger_type_ids=("fast",)),
+            ScheduleBlock("in_station", 360, 400, charger_type_ids=("fast",)),
+        ),
+    )
+    return dataclasses.replace(sc, buses=(a, sc.buses[1]))
+
+
+QIN_HAND_CASES = {
+    # `b` waits behind `a` on the one unit and leaves before `a` is full
+    "departs_while_queued": (
+        dataclasses.replace(
+            contention_scenario(initial_soc=0.5),
+            buses=(
+                contention_scenario(initial_soc=0.5).buses[0],
+                make_bus(
+                    bus_id="b",
+                    schedule=[ScheduleBlock("in_station", 330, 350, charger_type_ids=("fast",))],
+                    initial=0.5,
+                ),
+            ),
+        ),
+        {},
+    ),
+    # `a` reaches its maximum level and `b` takes the unit in that minute
+    "handoff_at_max_level": (contention_scenario(initial_soc=0.5), {}),
+    # `a`'s arrival is pushed past its visit's end: the visit covers no minute
+    "visit_wiped_out": (contention_scenario(initial_soc=0.5), {"a:v0": 1.0e6}),
+    # `a`'s second visit arrives before the first one ends and takes over
+    # the minutes they share
+    "back_to_back_visits": (back_to_back_scenario(), {"a:v2": -1200.0}),
+    # `a`'s second visit arrives at its previous block's start, the clamp,
+    # and takes over every minute of the first: the first is never seen,
+    # so `a` queues once and `b` gets the second unit
+    "visit_overwritten": (back_to_back_scenario(n_units=2), {"a:v2": -3600.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QIN_HAND_CASES))
+@pytest.mark.parametrize("kind", ["zero", "default"])
+def test_qin_hand_cases_match_reference(case, kind):
+    scenario, arrival = QIN_HAND_CASES[case]
+    params = noise_params(kind)
+    n = _step_count(scenario.day_start_min, scenario.day_end_min, TRUTH_DELTA_MIN)
+    noise = dataclasses.replace(
+        sample_run_noise(scenario, params, 11, n), arrival_shift_s=arrival
+    )
+    env = TruthEnvironment(scenario, noise, params)
+    ref = ReferenceEnvironment(scenario, noise, params)
+    assert_same_tables(env, ref)
+    run = strategy_qin(env)
+    assert_same_run(run, reference_qin(ref))
+    if kind != "zero":
+        return
+    a, b = run.charge_gain_kwh
+    if case == "departs_while_queued":
+        assert np.nonzero(a)[0].min() == 30 and b.sum() == 0.0
+    elif case == "handoff_at_max_level":
+        assert np.nonzero(a)[0].max() == 74 and np.nonzero(b)[0].min() == 75
+    elif case == "visit_wiped_out":
+        assert a.sum() == 0.0 and np.nonzero(b)[0].min() == 30
+    elif case == "back_to_back_visits":
+        assert ref.arrivals["a:v2"] == 340.0
+        assert ref.visit_at("a", 39).id == "a:v1" and ref.visit_at("a", 40).id == "a:v2"
+    else:
+        assert ref.arrivals["a:v2"] == 330.0
+        assert {ref.visit_at("a", k).id for k in range(30, 100)} == {"a:v2"}
+        assert np.nonzero(a)[0].min() == 30 and np.nonzero(b)[0].min() == 30
+
+
+def span_key(span):
+    if span is None:
+        return None
+    return (span.id, span.bus_id, bits(span.arrival_min), bits(span.end_min),
+            span.charger_type_ids)
+
+
+def row_bits(row):
+    return [None if x is None else bits(x) for x in row]
+
+
+def assert_same_tables(env, ref):
+    """The per-run tables, the arrivals and the initial meter of a fresh
+    ``TruthEnvironment`` equal the reference build's, bit for bit."""
+    assert (env.t0_min, env.n_steps) == (ref.t0_min, ref.n_steps)
+    assert {v: bits(t) for v, t in env.arrivals.items()} == {
+        v: bits(t) for v, t in ref.arrivals.items()
+    }
+    assert env.meter_kwh.dtype == ref.meter_kwh.dtype
+    assert env.meter_kwh.tobytes() == ref.meter_kwh.tobytes()
+    for tables, (kwh, bias, white, presence, visits) in zip(env._buses, reference_tables(ref)):
+        assert row_bits(tables.drive_kwh) == row_bits(kwh)
+        assert row_bits(tables.drive_bias_kwh) == row_bits(bias)
+        assert row_bits(tables.drive_white_kwh) == row_bits(white)
+        assert row_bits(tables.presence_hours) == row_bits(presence)
+        assert [span_key(v) for v in tables.visits] == [span_key(v) for v in visits]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.sampled_from(["mini", "generated", "contention"]),
+    scenario_seed=st.integers(0, 10_000),
+    noise_seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["default", "zero", "wide_arrivals"]),
+    load_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+)
+def test_tables_match_reference_build(source, scenario_seed, noise_seed, kind, load_seed):
+    # the per-run tables, read span by span, against the block-by-block
+    # overlaps of the per-minute model
+    scenario = drawn_day(source, scenario_seed)
+    if load_seed is not None:
+        scenario = with_load_profile(scenario, np.random.default_rng(load_seed))
+    assert_same_tables(*both_environments(scenario, noise_params(kind), noise_seed))
 
 
 def synthetic_plan(scenario, delta_min, rng):
@@ -991,6 +1018,13 @@ class TestMonteCarlo:
         plan, _ = nominal_plan(sc, 5.0)
         serial = monte_carlo(sc, "open_loop", 4, 7, reference=plan, jobs=1)
         parallel = monte_carlo(sc, "open_loop", 4, 7, reference=plan, jobs=2)
+        assert report_equal(serial, parallel)
+
+    @pytest.mark.parametrize("day", ["bundled", "generated"])
+    def test_parallel_merge_matches_serial_qin(self, day):
+        sc = four_bus_day() if day == "bundled" else generate_random_scenario(5)
+        serial = monte_carlo(sc, "qin", 4, 7, jobs=1)
+        parallel = monte_carlo(sc, "qin", 4, 7, jobs=2)
         assert report_equal(serial, parallel)
 
     def test_violation_rate_counts_runs(self):
