@@ -10,9 +10,21 @@ see the same stretch of the machine's speed.  For every end-to-end metric
 ``BENCHMARK.json`` lists, the report gives each side's median and quartiles
 over the pairs, the number of pairs the candidate wins (strictly better,
 in the metric's direction) and the median of the per-pair ratios
-candidate / base.  The last line of standard output is one JSON object with
-the same figures and every pair's two values.  The exit status is 1 if a
-run does not finish or reports ``"correct": false``.
+candidate / base, with a percentile-bootstrap 95% interval for that median
+(pairs resampled with replacement, seeded, so the interval is the same for
+the same runs).
+
+Timed runs compare speed, and a faster side fits more rounds into its
+seconds, so round-dependent results such as ``realized_cost_usd`` differ
+even when both sides compute the same thing.  Each pair therefore also
+runs both sides at ``--seconds 0`` (one round; the timed runs themselves
+when ``--seconds`` is 0) and checks that ``correct``, ``attempted``,
+``failed`` and ``realized_cost_usd`` agree exactly.
+
+The last line of standard output is one JSON object with the same
+figures, every pair's two values and the equal-rounds check
+(``equal_rounds.agree`` is true when every pair agrees).  The exit status
+is 1 if a run does not finish or reports ``"correct": false``.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ import argparse
 import io
 import json
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -61,6 +74,23 @@ def quartiles(values: List[float]) -> List[float]:
     return statistics.quantiles(values, n=4, method="inclusive")
 
 
+BOOTSTRAP_RESAMPLES = 10_000
+BOOTSTRAP_SEED = 0
+
+
+def bootstrap_median_ci(ratios: List[float]) -> List[float]:
+    """Percentile-bootstrap 95% interval for the median of ``ratios``: the
+    2.5th and 97.5th percentiles (nearest rank) of the medians of
+    :data:`BOOTSTRAP_RESAMPLES` resamples drawn with replacement."""
+    rng = random.Random(BOOTSTRAP_SEED)
+    n = len(ratios)
+    medians = sorted(
+        statistics.median(rng.choices(ratios, k=n)) for _ in range(BOOTSTRAP_RESAMPLES)
+    )
+    return [medians[int(0.025 * BOOTSTRAP_RESAMPLES)],
+            medians[int(0.975 * BOOTSTRAP_RESAMPLES) - 1]]
+
+
 def summarize(better: str, base: List[float], cand: List[float]) -> dict:
     ratios = [c / b for b, c in zip(base, cand) if b != 0]
     sign = 1.0 if better == "higher" else -1.0
@@ -71,6 +101,18 @@ def summarize(better: str, base: List[float], cand: List[float]) -> dict:
         "pairs": [[b, c] for b, c in zip(base, cand)],
         "wins": sum(1 for b, c in zip(base, cand) if sign * (c - b) > 0),
         "median_ratio": statistics.median(ratios) if ratios else None,
+        "median_ratio_ci95": bootstrap_median_ci(ratios) if ratios else None,
+    }
+
+
+def round_outcome(out: dict) -> dict:
+    """The fields of one run that must agree between the two sides when
+    both run the same rounds."""
+    return {
+        "correct": out.get("correct"),
+        "attempted": out.get("attempted"),
+        "failed": out.get("failed"),
+        "realized_cost_usd": out.get("metrics", {}).get("realized_cost_usd", {}).get("value"),
     }
 
 
@@ -94,6 +136,7 @@ def main(argv=None) -> int:
             declared = json.load(fh)["end_to_end"]
 
         outs: Dict[str, List[dict]] = {"base": [], "cand": []}
+        equal_rounds: List[dict] = []
         ok = True
         for i in range(args.pairs):
             seed = args.seed0 + i
@@ -105,7 +148,16 @@ def main(argv=None) -> int:
                     print(f"pair {i} seed {seed} {side}: "
                           f"{'no result' if out is None else 'not correct'}")
                 outs[side].append(out or {})
-            print(f"pair {i} seed {seed} ({order[0]} first): done", flush=True)
+            if args.seconds == 0:
+                rounds = {side: outs[side][-1] for side in order}
+            else:
+                rounds = {side: run_side(trees[side], args.workload, seed, 0) or {}
+                          for side in order}
+            outcome = {side: round_outcome(rounds[side]) for side in ("base", "cand")}
+            agree = outcome["base"] == outcome["cand"]
+            equal_rounds.append({"seed": seed, "agree": agree, **outcome})
+            print(f"pair {i} seed {seed} ({order[0]} first): done"
+                  f"{'' if agree else ', equal rounds disagree'}", flush=True)
 
     if not ok:
         print(json.dumps({"workload": args.workload, "correct": False}))
@@ -132,6 +184,9 @@ def main(argv=None) -> int:
     for side in ("base", "cand"):
         print(f"  {side}: attempted {[o['attempted'] for o in outs[side]]}, "
               f"failed {[o['failed'] for o in outs[side]]}")
+    agreeing = sum(1 for e in equal_rounds if e["agree"])
+    print(f"  equal rounds (--seconds 0): correct, attempted, failed and "
+          f"realized_cost_usd agree in {agreeing}/{args.pairs} pairs")
     print(json.dumps({
         "workload": args.workload,
         "base": args.base,
@@ -143,6 +198,7 @@ def main(argv=None) -> int:
         "attempted": {side: [o["attempted"] for o in outs[side]] for side in outs},
         "failed": {side: [o["failed"] for o in outs[side]] for side in outs},
         "metrics": metrics,
+        "equal_rounds": {"agree": agreeing == args.pairs, "pairs": equal_rounds},
     }))
     return 0
 

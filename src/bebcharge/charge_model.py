@@ -32,8 +32,9 @@ Units throughout: kWh for energy, kW for power, hours for time, ``alpha`` in
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +64,16 @@ class ContinuousChargeParams:
         a_cc, b_cc: CC-phase affine dynamics (a_cc is always 0.0).
         a_cv, b_cv: CV-phase affine dynamics (a_cv = -alpha).
         t_cc: time to fill from empty to the CC-CV threshold at full rate, h.
+        threshold: charge level where the CV phase begins, ``eta *
+            capacity``, kWh.
+        asymptote: charge level the CV phase decays toward, ``threshold +
+            p_cc / alpha``, kWh.
+
+    ``threshold`` and ``asymptote`` are derived, not passed: they are
+    computed once, when the parameters are made (also by
+    ``dataclasses.replace``), so :func:`simulate_exact`, which the truth
+    model calls for every charging minute, reads them instead of
+    recomputing them.  They take no part in equality, hashing or the repr.
     """
 
     p_cc: float
@@ -74,16 +85,13 @@ class ContinuousChargeParams:
     a_cv: float
     b_cv: float
     t_cc: float
+    threshold: float = field(init=False, repr=False, compare=False)
+    asymptote: float = field(init=False, repr=False, compare=False)
 
-    @property
-    def threshold(self) -> float:
-        """Charge level where the CV phase begins, kWh."""
-        return self.eta * self.capacity
-
-    @property
-    def asymptote(self) -> float:
-        """Charge level the CV phase decays toward, kWh."""
-        return self.threshold + self.p_cc / self.alpha
+    def __post_init__(self) -> None:
+        threshold = self.eta * self.capacity
+        object.__setattr__(self, "threshold", threshold)
+        object.__setattr__(self, "asymptote", threshold + self.p_cc / self.alpha)
 
 
 @dataclass(frozen=True)
@@ -106,13 +114,16 @@ class DiscreteChargeParams:
     continuous: ContinuousChargeParams
 
 
+@functools.lru_cache(maxsize=1024, typed=True)
 def continuous_params(
     p_cc_kw: float, alpha_per_hour: float, eta: float, capacity_kwh: float
 ) -> ContinuousChargeParams:
     """Build continuous-time CC-CV parameters, enforcing rate continuity.
 
     Raises ValueError for non-positive power/decay/capacity or eta outside
-    (0, 1].
+    (0, 1].  The parameters are immutable, so equal arguments (of equal
+    types) share one object: the truth model asks for every (bus, charger
+    type) pairing in every run.
     """
     if p_cc_kw <= 0.0:
         raise ValueError(f"p_cc must be positive, got {p_cc_kw}")
@@ -278,7 +289,9 @@ def simulate_exact(
             s = s_inf + (s_th - s_inf) * math.exp(-params.alpha * t_cv)
     else:
         s = s_inf + (s0 - s_inf) * math.exp(-params.alpha * duration_hours)
-    s = max(s, s0)
-    if clamp:
-        s = min(s, params.capacity)
+    # the clamps compare as max(s, s0) and min(s, capacity) do
+    if s < s0:
+        s = s0
+    if clamp and s > params.capacity:
+        s = params.capacity
     return s

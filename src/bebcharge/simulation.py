@@ -24,12 +24,13 @@ exact CC-CV gain and the meter.
 Three strategies can drive the environment.  The hierarchical
 receding-horizon controller (dispatched lazily to
 :mod:`bebcharge.receding_horizon`) steps it a minute at a time.  The reactive
-threshold heuristic (:func:`strategy_qin`) steps only plugged-in buses minute
-by minute, advances every other bus a stretch at a time when its level is
-next read, and skips minutes in which nobody is plugged in or waiting.
-Open-loop replay of a precomputed plan (:func:`strategy_open_loop`) builds
-the whole day's command table up front and runs it through the kernel in one
-call.  Monte-Carlo and multi-day drivers aggregate runs into
+threshold heuristic (:func:`strategy_qin`) runs from event to event: each
+plugged-in bus charges through a whole stretch of minutes in one kernel call,
+every other bus advances a stretch at a time when its level is next read,
+and minutes in which nobody is plugged in or waiting are skipped.  Open-loop
+replay of a precomputed plan (:func:`strategy_open_loop`) builds the whole
+day's commands up front and runs each bus through them in one call.
+The Monte-Carlo and multi-day functions aggregate runs into
 permutation-invariant reports.
 """
 
@@ -76,9 +77,6 @@ TRUTH_DELTA_MIN = 1.0
 
 # the reactive heuristic queues a bus arriving below this share of capacity
 QIN_THRESHOLD = 0.7
-
-# the commands of a minute in which no bus is plugged in
-_IDLE: Mapping[str, Tuple[str, float]] = {}
 
 SeedLike = Union[int, np.random.SeedSequence]
 
@@ -255,24 +253,26 @@ class TruthEnvironment:
     planner's convention that engagement (not energy) activates the charger.
     Use ``math.inf`` as the power to request the full CC-CV rate.
 
-    Everything that does not depend on the battery level is tabulated once
-    per run, as plain per-bus lists indexed by minute: the drive kWh with
-    its bias and white-noise terms, the presence hours and the visit span,
-    next to the bus's capacity and CC-CV parameters per charger type; per
-    charger type, its bias, its white-noise sigma and its row of white
-    draws.  The set-up reads only what a run changes: the perturbed
-    arrivals end the driving spans and start the visits, all spans'
-    overlaps with the minutes they cover are computed in one array step,
-    and each span fills its stretch of the per-minute rows.
+    What a run builds is what its noise draw changes.  Everything that does
+    not depend on the battery level is tabulated once per run, as plain
+    per-bus lists indexed by minute: the drive kWh with its bias and
+    white-noise terms, the presence hours and the visit span, next to the bus's capacity and
+    CC-CV parameters per charger type (shared across runs; see
+    :func:`~bebcharge.charge_model.continuous_params`); per charger type,
+    its bias, its white-noise sigma and its row of white draws.  The
+    perturbed arrivals end the driving spans and start the visits, all
+    spans' overlaps with the minutes they cover are computed in one array
+    step, and each span fills its stretch of the per-minute rows.
 
     One kernel, :meth:`_run_bus`, steps one bus through a stretch of minutes
-    under per-minute commands, doing the level-dependent work only: the
+    under its per-minute commands, doing the level-dependent work only: the
     clamps, :func:`~bebcharge.charge_model.simulate_exact` and the meter.
-    :meth:`_run_minutes` runs it bus by bus over a table of commands (open-loop
-    replay hands it the whole day at once) and :meth:`advance` over one
-    minute (the closed-loop controller); the reactive heuristic calls it
-    directly, for plugged-in buses minute by minute and for the others a
-    stretch at a time.
+    It can stop early at a charging session's release.  Its minute body
+    serves every caller: :meth:`_run_minutes` runs it bus by bus over one
+    command row per bus (open-loop replay hands it the whole day at once)
+    and :meth:`advance` over one minute (the closed-loop controller); the
+    reactive heuristic calls it directly, once per charging session and
+    stretch for plugged-in buses and once per stretch for the others.
     """
 
     def __init__(
@@ -431,42 +431,44 @@ class TruthEnvironment:
         self, commands: Mapping[str, Tuple[str, float]]
     ) -> Dict[str, float]:
         """Advance one truth minute; returns realized charge kWh per bus."""
-        return self._run_minutes((commands,))
+        k = self._k
+        self._run_minutes([(commands.get(bus.bus_id),) for bus in self._buses])
+        return {
+            bus.bus_id: float(bus.gains[k]) for bus in self._buses if bus.types[k] is not None
+        }
 
-    def _run_minutes(
-        self, table: Sequence[Mapping[str, Tuple[str, float]]]
-    ) -> Dict[str, float]:
-        """Advance ``len(table)`` minutes, minute ``minute_index + i`` under
-        the commands ``table[i]``; returns the realized charge kWh per bus
-        in the last of them.
+    def _run_minutes(self, rows: Sequence[Sequence[Optional[Tuple[str, float]]]]) -> None:
+        """Advance every bus through the same ``len(rows[j])`` minutes, bus
+        ``j`` through minute ``minute_index + i`` under its command
+        ``rows[j][i]`` (None for no command).
 
         Buses interact only through the meter, which every minute adds up
-        in bus order whichever loop is outside, so each bus runs the whole
-        table in turn.
+        in bus order whichever loop is outside, so each bus runs all its
+        minutes in turn.
         """
         k0 = self._k
-        if k0 + len(table) > self.n_steps:
+        n = len(rows[0])
+        if k0 + n > self.n_steps:
             raise RuntimeError("day already finished")
-        realized: Dict[str, float] = {}
-        for bus in self._buses:
-            gained = self._run_bus(bus, k0, table)
-            if gained is not None:
-                realized[bus.bus_id] = gained
-        self._k = k0 + len(table)
-        return realized
+        for bus, commands in zip(self._buses, rows):
+            self._run_bus(bus, k0, commands)
+        self._k = k0 + n
 
     def _run_bus(
         self,
         bus: "_BusTables",
         k0: int,
-        table: Iterable[Mapping[str, Tuple[str, float]]],
-    ) -> Optional[float]:
+        commands: Iterable[Optional[Tuple[str, float]]],
+        full: float = math.inf,
+    ) -> int:
         """The minute kernel: step one bus from its current level through
-        minutes ``k0, k0 + 1, ...``, minute ``k0 + i`` under its command in
-        ``table[i]``; returns its realized charge kWh in the last of them,
-        or None if it did not charge then.
+        minutes ``k0, k0 + 1, ...``, minute ``k0 + i`` under the i-th of its
+        ``commands`` (a ``(charger_type_id, power_kw)`` pair, or None), and
+        return the first minute it did not step.
 
-        The caller keeps the minutes inside the day and steps each minute's
+        It stops early, at the top of a minute after the first, once the
+        bus's level is at ``full`` (a charging session's release).  The
+        caller keeps the minutes inside the day and steps each minute's
         charging buses in bus order, the order the meter adds them up in.
         """
         (
@@ -486,9 +488,8 @@ class TruthEnvironment:
         meter = self.meter_kwh
         type_terms = self._type_terms
         soc = self.soc[bus_id]
-        k, charged = None, -1
-        gained = 0.0
-        for k, commands in enumerate(table, k0):
+        stepped: List[float] = []
+        for k, cmd in enumerate(commands, k0):
             kwh = drive_kwh[k]
             if kwh is not None:
                 soc = soc - kwh + drive_bias[k] + drive_white[k]
@@ -496,7 +497,6 @@ class TruthEnvironment:
                     soc = 0.0
                 elif soc > cap:
                     soc = cap
-            cmd = commands.get(bus_id)
             if cmd is not None:
                 tid, power_kw = cmd
                 span = visits[k]
@@ -504,8 +504,11 @@ class TruthEnvironment:
                 if span is not None and pres_h > 0 and tid in span.charger_type_ids:
                     attainable = exact(charge_params[tid], soc, pres_h) - soc
                     beta, sigma, white_row = type_terms[tid]
+                    # min(commanded, attainable) and, below, max(0.0,
+                    # gained) as comparisons, which pick the same floats
+                    commanded = power_kw * pres_h
                     delta = (
-                        min(power_kw * pres_h, attainable)
+                        (attainable if attainable < commanded else commanded)
                         + beta * pres_h
                         + sigma * math.sqrt(pres_h * 3600.0) * white_row[k]
                     )
@@ -515,14 +518,17 @@ class TruthEnvironment:
                     elif new_soc > cap:
                         new_soc = cap
                     gained = new_soc - soc
-                    meter[k] += max(0.0, gained)
+                    meter[k] += gained if gained > 0.0 else 0.0
                     gains[k] = gained
                     types[k] = tid
-                    charged = k
                     soc = new_soc
-            levels[k + 1] = soc
+            stepped.append(soc)
+            if soc >= full:
+                break
+        stop = k0 + len(stepped)
+        levels[k0 + 1 : stop + 1] = stepped
         self.soc[bus_id] = soc
-        return gained if charged == k else None
+        return stop
 
 
 def _minute_cover(
@@ -690,18 +696,26 @@ class _QinController:
     considered at the first minute its visit covers at or after its
     perturbed arrival.
 
-    Only plugged-in buses are stepped minute by minute, in bus order.  A bus
-    without a command changes nothing but its own level, so it advances
-    lazily, one kernel call per stretch, up to the minute its level is next
-    read (its arrival, its wait in the queue, its connection) or the end of
-    the day.  A minute with nobody connected and nobody waiting jumps to the
-    next arrival.
+    The day runs as a sequence of stretches of minutes.  At the top of a
+    stretch the controller releases, queues and connects buses; then each
+    plugged-in bus, in bus order, runs the whole stretch as one charging
+    session in one kernel call, stopping early at its own release (the
+    first minute its visits no longer cover, or the top of a minute at
+    which its level has reached its maximum).  The kernel steps each bus
+    through all of a stretch's minutes before the next bus starts, so
+    every minute's meter sum keeps its bus order.  A stretch ends at the
+    next arrival while nobody waits, since until then only releases can
+    happen and a freed charger has no taker; while someone waits it ends
+    after one minute, since a release may hand the waiting bus a charger
+    at the very next minute.  A bus without a command changes nothing but
+    its own level, so it advances lazily, one kernel call per stretch, up
+    to the minute its level is next read (its arrival, its wait in the
+    queue, its connection) or the end of the day.
     """
 
     def __init__(self, env: TruthEnvironment) -> None:
         self.env = env
         self.free = {ct.id: ct.count for ct in env.scenario.charger_types}
-        self.connected: Dict[str, str] = {}
         self.queue: List[Tuple[float, str]] = []
         # per bus: the minute its level has been stepped to
         self._at = [0] * len(env.bus_ids)
@@ -729,35 +743,27 @@ class _QinController:
         """Step bus ``j``, which has no command, up to minute ``k``."""
         at = self._at[j]
         if at < k:
-            self.env._run_bus(self.env._buses[j], at, itertools.repeat(_IDLE, k - at))
+            self.env._run_bus(self.env._buses[j], at, itertools.repeat(None, k - at))
             self._at[j] = k
 
     def run(self) -> None:
         """Control the whole day."""
         env = self.env
-        buses, index, level = env._buses, env._bus_index, env.soc
-        connected, free = self.connected, self.free
+        buses, index, level, n = env._buses, env._bus_index, env.soc, env.n_steps
+        free, at = self.free, self._at
         threshold = [QIN_THRESHOLD * b.capacity_kwh for b in env.scenario.buses]
-        full = {b.id: b.max_soc * b.capacity_kwh - 1e-9 for b in env.scenario.buses}
+        full = [b.max_soc * b.capacity_kwh - 1e-9 for b in env.scenario.buses]
         arrivals = self._arrivals()
         a = 0
-        # the connected buses in bus order, and their commands
-        plugged: List[int] = []
-        commands: Tuple[Mapping[str, Tuple[str, float]], ...] = (_IDLE,)
+        # per plugged-in bus index: its command and the first minute its
+        # visits no longer cover
+        sessions: Dict[int, Tuple[Tuple[str, float], int]] = {}
         k = 0
-        while k < env.n_steps:
-            if not connected and not self.queue:
-                if a == len(arrivals):
-                    break
-                k = arrivals[a][0]
-            changed = False
-
+        while k < n:
             # releases: departure or target level reached
-            for bus_id in list(connected):
-                departed = buses[index[bus_id]].visits[k] is None
-                if departed or level[bus_id] >= full[bus_id]:
-                    free[connected.pop(bus_id)] += 1
-                    changed = True
+            for j in list(sessions):
+                if buses[j].visits[k] is None or level[buses[j].bus_id] >= full[j]:
+                    free[sessions.pop(j)[0][0]] += 1
 
             # arrivals: queue if below threshold
             while a < len(arrivals) and arrivals[a][0] == k:
@@ -773,7 +779,8 @@ class _QinController:
                 still_waiting: List[Tuple[float, str]] = []
                 for key, bus_id in self.queue:
                     j = index[bus_id]
-                    span = buses[j].visits[k]
+                    row = buses[j].visits
+                    span = row[k]
                     if span is None:
                         continue  # departed while waiting
                     self._catch_up(j, k)
@@ -785,24 +792,32 @@ class _QinController:
                     )
                     if options:
                         free[options[0]] -= 1
-                        connected[bus_id] = options[0]
-                        changed = True
+                        leave = k + 1
+                        while leave < n and row[leave] is not None:
+                            leave += 1
+                        sessions[j] = ((options[0], math.inf), leave)
                     else:
                         still_waiting.append((key, bus_id))
                 self.queue = still_waiting
 
-            # a connected bus was stepped through the minute before, or
-            # caught up when it connected
-            if changed:
-                commands = ({b: (tid, math.inf) for b, tid in connected.items()},)
-                plugged = sorted(index[b] for b in connected)
-            for j in plugged:
-                env._run_bus(buses[j], k, commands)
-                self._at[j] = k + 1
-            k += 1
+            # the stretch: each plugged-in bus's session, in bus order
+            if self.queue:
+                end = k + 1
+            else:
+                end = arrivals[a][0] if a < len(arrivals) else n
+            for j in sorted(sessions):
+                cmd, leave = sessions[j]
+                stop = env._run_bus(
+                    buses[j], k, itertools.repeat(cmd, min(end, leave) - k), full[j]
+                )
+                at[j] = stop
+                if stop < end:
+                    free[cmd[0]] += 1
+                    del sessions[j]
+            k = end
         for j in range(len(buses)):
-            self._catch_up(j, env.n_steps)
-        env._k = env.n_steps
+            self._catch_up(j, n)
+        env._k = n
 
 
 class _OpenLoopController:
@@ -814,25 +829,31 @@ class _OpenLoopController:
     past the planned stop, so a fully missed interval is dropped.
 
     The plan is fixed, so the whole day's commands are known up front:
-    ``table`` holds one command mapping per remaining truth minute, the
-    mapping of the plan step that minute falls in (one dict per step, shared
-    by its minutes; an empty one outside the plan).
+    ``rows`` holds, per bus, one command per remaining truth minute, the
+    command of the plan step that minute falls in (None outside the plan).
     """
 
     def __init__(self, env: TruthEnvironment, plan: ChargePlan) -> None:
-        by_step: Dict[int, Dict[str, Tuple[str, float]]] = {}
-        delta_h = plan.delta_min / 60.0
-        for bus_id, tid, k0, k1 in plan.intervals:
-            for kp in range(max(k0, 0), min(k1, plan.n_steps)):
-                gain = plan.gains.get((bus_id, kp, tid), 0.0)
-                by_step.setdefault(kp, {})[bus_id] = (tid, gain / delta_h)
         k = np.arange(env.minute_index, env.n_steps)
         minutes = env.t0_min + k * TRUTH_DELTA_MIN
         steps = np.floor((minutes - plan.t0_min) / plan.delta_min + 1e-9)
-        idle: Dict[str, Tuple[str, float]] = {}
-        self.table: List[Mapping[str, Tuple[str, float]]] = [
-            by_step.get(kp, idle) for kp in steps.astype(int).tolist()
+        # the steps never decrease, so plan step kp holds minutes
+        # first[kp] <= i < first[kp + 1]
+        first = np.searchsorted(steps, np.arange(plan.n_steps + 1)).tolist()
+        delta_h = plan.delta_min / 60.0
+        index = env._bus_index
+        self.rows: List[List[Optional[Tuple[str, float]]]] = [
+            [None] * k.size for _ in env.bus_ids
         ]
+        for bus_id, tid, k0, k1 in plan.intervals:
+            if bus_id not in index:
+                continue
+            row = self.rows[index[bus_id]]
+            # a later interval overrides an earlier one
+            for kp in range(max(k0, 0), min(k1, plan.n_steps)):
+                gain = plan.gains.get((bus_id, kp, tid), 0.0)
+                i0, i1 = first[kp], first[kp + 1]
+                row[i0:i1] = [(tid, gain / delta_h)] * (i1 - i0)
 
 
 # ---------------------------------------------------------------------------
@@ -906,7 +927,7 @@ def strategy_qin(env: TruthEnvironment) -> SimRun:
 
 def strategy_open_loop(env: TruthEnvironment, reference: ChargePlan) -> SimRun:
     """Replay a reference plan open loop against the truth environment."""
-    env._run_minutes(_OpenLoopController(env, reference).table)
+    env._run_minutes(_OpenLoopController(env, reference).rows)
     return _finalize_run(env, "open_loop")
 
 
@@ -1028,7 +1049,8 @@ def monte_carlo(
 
     Run seeds are the first ``n_runs`` children of ``base_seed``'s seed
     sequence, so the ensemble is reproducible and independent of ``jobs``;
-    parallel results are merged in seed order.
+    parallel results are merged in seed order.  At most one worker process
+    per run is started.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be positive")
@@ -1043,7 +1065,7 @@ def monte_carlo(
     if jobs > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(min(jobs, n_runs)) as pool:
             runs = pool.map(_mc_worker, tasks)
     else:
         runs = [_mc_worker(t) for t in tasks]

@@ -1,6 +1,8 @@
 """CC-CV charge model: discretization exactness, bound geometry, error formula."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bebcharge.charge_model import (
+    ContinuousChargeParams,
     continuous_params,
     discretize_params,
     gain_upper_bound,
@@ -272,3 +275,104 @@ def test_simulate_exact_never_drains_above_asymptote():
 def test_simulate_exact_rejects_negative_duration():
     with pytest.raises(ValueError):
         simulate_exact(make_params(), 0.0, -1.0)
+
+
+def property_simulate_exact(params, s0, duration_hours, clamp=True):
+    """``simulate_exact`` as it read when ``threshold`` and ``asymptote``
+    were properties computed on every call and the clamps were
+    ``max``/``min``: the reference for the stored-constant form."""
+    if duration_hours < 0.0:
+        raise ValueError(f"duration must be non-negative, got {duration_hours}")
+    s_th = params.eta * params.capacity
+    s_inf = s_th + params.p_cc / params.alpha
+    if s0 < s_th:
+        t_hit = (s_th - s0) / params.p_cc
+        if duration_hours <= t_hit:
+            s = s0 + params.p_cc * duration_hours
+        else:
+            t_cv = duration_hours - t_hit
+            s = s_inf + (s_th - s_inf) * math.exp(-params.alpha * t_cv)
+    else:
+        s = s_inf + (s0 - s_inf) * math.exp(-params.alpha * duration_hours)
+    s = max(s, s0)
+    if clamp:
+        s = min(s, params.capacity)
+    return s
+
+
+def start_and_duration(c, phase, u, v):
+    """A starting level and a duration (h) that put one call in ``phase``;
+    ``u`` and ``v`` in [0, 1] place them within it."""
+    th = c.threshold
+    if phase == "cc":  # stays below the threshold
+        s0 = u * th
+        return s0, v * (th - s0) / c.p_cc
+    if phase == "crossing":  # reaches the threshold exactly, or passes it
+        s0 = u * th
+        return s0, (th - s0) / c.p_cc + v * 3.0
+    if phase == "at_threshold":
+        return th, v * 3.0
+    if phase == "cv":
+        return th + u * (c.capacity - th), v * 3.0
+    if phase == "above_capacity":
+        return c.capacity * (1.0 + u), v * 3.0
+    return u * 1.5 * c.capacity, 0.0  # zero duration
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    p=st.floats(1.0, 500.0),
+    alpha=st.floats(0.05, 10.0),
+    eta=st.floats(0.05, 1.0),
+    cap=st.floats(5.0, 1000.0),
+    phase=st.sampled_from(
+        ["cc", "crossing", "at_threshold", "cv", "above_capacity", "zero"]
+    ),
+    u=st.floats(0.0, 1.0),
+    v=st.floats(0.0, 1.0),
+    clamp=st.booleans(),
+)
+def test_simulate_exact_matches_the_property_form(p, alpha, eta, cap, phase, u, v, clamp):
+    c = continuous_params(p, alpha, eta, cap)
+    assert c.threshold.hex() == (eta * cap).hex()
+    assert c.asymptote.hex() == (eta * cap + p / alpha).hex()
+    s0, hours = start_and_duration(c, phase, u, v)
+    got = simulate_exact(c, s0, hours, clamp)
+    want = property_simulate_exact(c, s0, hours, clamp)
+    assert type(got) is type(want)
+    assert got.hex() == want.hex()
+
+
+def test_stored_constants_keep_the_value_semantics():
+    c = make_params()
+    inputs = [f.name for f in dataclasses.fields(c) if f.init]
+    assert inputs == ["p_cc", "alpha", "eta", "capacity", "a_cc", "b_cc", "a_cv", "b_cv", "t_cc"]
+    values = tuple(getattr(c, name) for name in inputs)
+    twin = ContinuousChargeParams(*values)
+    assert twin is not c and twin == c
+    # equality, hashing and the repr read the nine inputs only
+    assert hash(twin) == hash(c) == hash(values)
+    assert repr(c) == "ContinuousChargeParams(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(inputs, values)
+    ) + ")"
+    assert (twin.threshold, twin.asymptote) == (c.threshold, c.asymptote)
+    back = pickle.loads(pickle.dumps(c))
+    assert back == c and hash(back) == hash(c)
+    assert (back.threshold, back.asymptote) == (c.threshold, c.asymptote)
+    # replace derives them again from the replaced inputs
+    bigger = dataclasses.replace(c, capacity=400.0)
+    assert bigger != c
+    assert bigger.threshold == bigger.eta * 400.0
+    assert bigger.asymptote == bigger.threshold + bigger.p_cc / bigger.alpha
+    assert dataclasses.replace(c) == c
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.threshold = 1.0
+
+
+def test_equal_arguments_share_parameters_of_their_own_types():
+    c = continuous_params(120.0, 2.0, 0.8, 300.0)
+    assert continuous_params(120.0, 2.0, 0.8, 300.0) is c
+    ints = continuous_params(120, 2.0, 0.8, 300)
+    assert ints == c and ints is not c
+    assert type(ints.p_cc) is int and type(ints.capacity) is int
+    assert type(c.p_cc) is float and type(c.capacity) is float

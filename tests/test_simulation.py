@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bebcharge.benchmarks import four_bus_day
@@ -43,6 +43,7 @@ from bebcharge.simulation import (
     strategy_open_loop,
     strategy_qin,
 )
+from bebcharge.solver import SolveLimits
 
 from helpers import make_bus, mini_scenario, single_visit_scenario, two_type_scenario
 from reference_simulation import (
@@ -489,9 +490,13 @@ def drawn_day(source, seed):
     return generate_random_scenario(seed, GeneratorBounds(n_buses=1 + seed % 3))
 
 
-def both_environments(scenario, params, noise_seed):
+def both_environments(scenario, params, noise_seed, arrival=None):
+    """The package's and the reference truth model on one noise draw, its
+    arrival shifts replaced by ``arrival`` when given."""
     n = _step_count(scenario.day_start_min, scenario.day_end_min, TRUTH_DELTA_MIN)
     noise = sample_run_noise(scenario, params, noise_seed, n)
+    if arrival is not None:
+        noise = dataclasses.replace(noise, arrival_shift_s=arrival)
     return (
         TruthEnvironment(scenario, noise, params),
         ReferenceEnvironment(scenario, noise, params),
@@ -523,22 +528,29 @@ day_sources = st.sampled_from(["mini", "generated"])
 noise_kinds = st.sampled_from(["default", "default", "zero"])
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
-    source=st.sampled_from(["mini", "generated", "contention", "contention"]),
+    source=st.sampled_from(["mini", "generated", "contention", "contention", "hand"]),
     scenario_seed=st.integers(0, 10_000),
     noise_seed=st.integers(0, 2**32 - 1),
     kind=st.sampled_from(["default", "default", "zero", "wide_arrivals"]),
     load_seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
 )
 def test_kernel_matches_reference_qin(source, scenario_seed, noise_seed, kind, load_seed):
-    # the event-driven controller against the per-minute one on the
+    # the session-stepping controller against the per-minute one on the
     # per-minute truth model; with a load on the meter, the order in which
-    # a minute's charging buses are added up shows in its bits
-    scenario = drawn_day(source, scenario_seed)
+    # a minute's charging buses are added up shows in its bits.  "hand"
+    # draws the hand cases below (session edges: releases, hand-offs and
+    # arrivals on the same minute) under other noise and loads
+    arrival = None
+    if source == "hand":
+        case = sorted(QIN_HAND_CASES)[scenario_seed % len(QIN_HAND_CASES)]
+        scenario, arrival = QIN_HAND_CASES[case]
+    else:
+        scenario = drawn_day(source, scenario_seed)
     if load_seed is not None:
         scenario = with_load_profile(scenario, np.random.default_rng(load_seed))
-    env, ref = both_environments(scenario, noise_params(kind), noise_seed)
+    env, ref = both_environments(scenario, noise_params(kind), noise_seed, arrival)
     assert_same_run(strategy_qin(env), reference_qin(ref))
 
 
@@ -578,6 +590,25 @@ def back_to_back_scenario(n_units=1):
     return dataclasses.replace(sc, buses=(a, sc.buses[1]))
 
 
+def two_bus_scenario(a_blocks, b_blocks, n_units=1):
+    """``contention_scenario`` with the two buses' schedules replaced."""
+    sc = contention_scenario(initial_soc=0.5, n_units=n_units)
+    a = dataclasses.replace(sc.buses[0], schedule=tuple(a_blocks))
+    b = dataclasses.replace(sc.buses[1], schedule=tuple(b_blocks))
+    return dataclasses.replace(sc, buses=(a, b))
+
+
+def stay(t0, t1):
+    return ScheduleBlock("in_station", t0, t1, charger_type_ids=("fast",))
+
+
+def drive(t0, t1):
+    return ScheduleBlock("on_route", t0, t1, route_power_kw=30.0)
+
+
+# Most hand cases run on the one-unit contention day: a bus arriving at
+# 330 half full charges 2 kWh a minute and is full (190 kWh) 45 minutes
+# after it connects.
 QIN_HAND_CASES = {
     # `b` waits behind `a` on the one unit and leaves before `a` is full
     "departs_while_queued": (
@@ -605,6 +636,41 @@ QIN_HAND_CASES = {
     # and takes over every minute of the first: the first is never seen,
     # so `a` queues once and `b` gets the second unit
     "visit_overwritten": (back_to_back_scenario(n_units=2), {"a:v2": -3600.0}),
+    # `b` arrives half a minute after `a` and waits; `a` departs before it
+    # is full, and `b` takes the unit in the minute `a` leaves
+    "released_while_waiting": (
+        two_bus_scenario([stay(330, 360), drive(360, 420)], [stay(330, 420)]),
+        {"b:v0": 30.0},
+    ),
+    # nobody waits: `a` departs inside a session that would run to `b`'s
+    # arrival, and `b` finds the unit free
+    "departure_mid_session": (
+        two_bus_scenario([stay(330, 350), drive(350, 420)], [drive(300, 370), stay(370, 420)]),
+        {},
+    ),
+    # nobody waits: `a` is full inside a session that would run to `b`'s
+    # arrival, and `b` takes the unit it freed
+    "full_mid_session": (
+        two_bus_scenario([stay(330, 420)], [drive(300, 390), stay(390, 420)]),
+        {},
+    ),
+    # `b` arrives in the very minute `a` is full: `a` is released first
+    "arrival_at_full": (
+        two_bus_scenario([stay(330, 420)], [drive(300, 375), stay(375, 420)]),
+        {},
+    ),
+    # both arrive inside minute 30, so both are seen at minute 31; `b`
+    # arrived first and gets the unit, `a` takes it over when `b` is full
+    "two_arrivals_one_minute": (contention_scenario(initial_soc=0.5), {"a:v0": 45.0, "b:v0": 15.0}),
+}
+
+# the first and the last minute `a` and `b` charge in, with zero noise
+CHARGING_MINUTES = {
+    "released_while_waiting": [(30, 59), (60, 104)],
+    "departure_mid_session": [(30, 49), (70, 119)],
+    "full_mid_session": [(30, 74), (90, 119)],
+    "arrival_at_full": [(30, 74), (75, 119)],
+    "two_arrivals_one_minute": [(76, 119), (31, 75)],
 }
 
 
@@ -625,7 +691,10 @@ def test_qin_hand_cases_match_reference(case, kind):
     if kind != "zero":
         return
     a, b = run.charge_gain_kwh
-    if case == "departs_while_queued":
+    if case in CHARGING_MINUTES:
+        charging = [np.nonzero(row)[0] for row in (a, b)]
+        assert [(m.min(), m.max()) for m in charging] == CHARGING_MINUTES[case]
+    elif case == "departs_while_queued":
         assert np.nonzero(a)[0].min() == 30 and b.sum() == 0.0
     elif case == "handoff_at_max_level":
         assert np.nonzero(a)[0].max() == 74 and np.nonzero(b)[0].min() == 75
@@ -853,6 +922,32 @@ class TestBillingOracle:
 # open-loop strategy
 
 
+# Known fault: on generated 18-hour days the zero-noise replay bills more
+# than the plan.  The planner's peak-demand rows see only windows that end
+# on its own 5-minute instants, so a plan can charge hard in the last step
+# before a peak window closes (seed 9: the peak demand charge is 380.20 in
+# the plan and 825.64 billed); and a charging step that crosses a bus's
+# CC-CV threshold plans up to `max_gain_error` more than the exact gain
+# (seed 9: 0.0098 kWh at step 121).  Strict: it fails the suite once the
+# invariant holds, so the marker goes when the planner is mended.
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the planner's peak windows end only on its own grid; see CHANGES.md FOUND",
+)
+@settings(max_examples=10, deadline=None)
+@example(seed=9)
+@given(seed=st.integers(0, 10_000))
+def test_zero_noise_open_loop_bills_the_plan_on_generated_days(seed):
+    day = generate_random_scenario(seed, GeneratorBounds(n_buses=2))
+    plan, _ = nominal_plan(day, 5.0, SolveLimits(max_nodes=30))
+    if plan is None:
+        return  # no schedule, nothing to replay
+    run = simulate_run(day, "open_loop", 0, NoiseParams.zero(), reference=plan)
+    assert not run.failed
+    assert abs(run.total_cost - plan.total_cost) <= 1e-6 * plan.total_cost
+
+
 class TestOpenLoop:
     def setup_method(self):
         self.sc = single_visit_scenario()
@@ -1026,6 +1121,36 @@ class TestMonteCarlo:
         serial = monte_carlo(sc, "qin", 4, 7, jobs=1)
         parallel = monte_carlo(sc, "qin", 4, 7, jobs=2)
         assert report_equal(serial, parallel)
+
+    def test_pool_has_no_more_workers_than_runs(self, monkeypatch):
+        # a stand-in pool records its size and maps in this process, so no
+        # worker is started
+        import multiprocessing
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(t) for t in tasks]
+
+        monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+        sc = single_visit_scenario()
+        serial = monte_carlo(sc, "qin", 2, 7, jobs=1)
+        assert sizes == []
+        wide = monte_carlo(sc, "qin", 2, 7, jobs=64)
+        narrow = monte_carlo(sc, "qin", 5, 7, jobs=3)
+        assert sizes == [2, 3]
+        assert report_equal(serial, wide)
+        assert report_equal(monte_carlo(sc, "qin", 5, 7, jobs=1), narrow)
 
     def test_violation_rate_counts_runs(self):
         sc = single_visit_scenario(initial=0.62, final=0.62)  # floor is 60 kWh
