@@ -4,15 +4,19 @@ The LP backend is scipy's HiGHS.  ``solve_lp`` goes through ``linprog`` and
 re-checks every relaxation reported optimal here (primal feasibility, dual
 feasibility signs, stationarity, and strong duality from the returned
 marginals) before its value is trusted as a bound.  Branch and bound loads
-the model into one HiGHS LP per search and solves every node on it cold,
-changing only the column bounds; each node's answer is exactly the one a
-fresh ``linprog`` call would give, and is trusted on HiGHS' status.  The
-search is written out in full: most-fractional branching with lowest-index
-tie breaks, best-first node selection with depth-first plunging (children
-are solved on creation and the better one is explored immediately), an
-LP-guided primal heuristic for a first incumbent, and a relative-gap
-stopping rule.  All choices are deterministic so repeated solves of the same
-model produce byte-identical results.
+the model into one HiGHS LP per search and solves every node on it warm,
+changing only the column bounds, so each node's dual simplex starts from the
+basis the previous solve left.  Each node's answer has the status a fresh
+``linprog`` call would give and an objective within 1e-9 relative of it, and
+is trusted on HiGHS' status.  The search is written out in full: pseudocost
+branching (per column and direction, the mean per-unit objective increase
+its solved children showed; lowest-index tie breaks), best-first node
+selection with depth-first plunging (children are solved on creation and
+the better one is explored immediately), an LP-guided primal heuristic for a
+first incumbent, and a relative-gap stopping rule.  All choices are
+deterministic and every search starts from a freshly loaded LP and empty
+pseudocosts, so repeated solves of the same model produce byte-identical
+results.
 """
 
 from __future__ import annotations
@@ -194,15 +198,21 @@ class _NodeLp:
     """One HiGHS LP for a whole branch-and-bound search.
 
     The model is loaded once; each node solve changes only the column bounds
-    and clears the previous solve's basis, so every solve starts cold.  HiGHS
-    sees exactly the LP ``linprog(method="highs")`` builds from ``_Matrices``
-    (``A_ub`` stacked above ``A_eq`` in CSC form, rows ``(-inf, b_ub]`` and
-    ``[b_eq, b_eq]``, the same options), here made from the model's stored
-    rows by one row permutation, done with index arithmetic (two stable
-    sorts of the entries, by new row and then by column), and the answer
-    passes the same status map and feasibility check, so ``solve`` gives
-    what ``linprog`` gives, bit for bit, without re-cleaning and
-    re-converting the matrices at every node.
+    that differ from the previous solve's and keeps that solve's basis, so
+    the dual simplex starts warm.  HiGHS sees the LP
+    ``linprog(method="highs")`` builds from ``_Matrices`` (``A_ub`` stacked
+    above ``A_eq`` in CSC form, rows ``(-inf, b_ub]`` and ``[b_eq, b_eq]``,
+    the same options), here made from the model's stored rows by one row
+    permutation, done with index arithmetic (two stable sorts of the
+    entries, by new row and then by column), and the answer passes the same
+    status map and feasibility check.  So ``solve`` gives the status a fresh
+    ``linprog`` call gives and an objective within 1e-9 relative of its
+    ``fun``, without re-cleaning and re-converting the matrices at every
+    node.  Where the optimum is not unique, ``x`` may be another optimal
+    vertex than ``linprog``'s; it always passes ``linprog``'s feasibility
+    check.  The answer depends on the solves before it, so a search is
+    reproducible because it makes the same solves in the same order on a
+    freshly loaded LP.
     """
 
     def __init__(self, model: MilpModel, lb: np.ndarray, ub: np.ndarray):
@@ -227,8 +237,9 @@ class _NodeLp:
         lp.row_lower_ = [-math.inf] * self.n_ub + b_eq.tolist()
         lp.row_upper_ = self.row_hi.tolist()
         self.lp = lp
-        self.cols = np.arange(n_cols, dtype=np.int32)
         self.highs = self._load(lb, ub)
+        # the column bounds HiGHS holds now
+        self.lb, self.ub = lb.copy(), ub.copy()
 
     def _load(self, lb: np.ndarray, ub: np.ndarray, **options) -> "_highs._Highs":
         self.lp.col_lower_ = lb.tolist()
@@ -243,10 +254,14 @@ class _NodeLp:
     def solve(
         self, lb: np.ndarray, ub: np.ndarray
     ) -> Tuple[int, float, Optional[np.ndarray]]:
-        """linprog's ``(status, fun, x)`` under these column bounds; ``x`` is
-        None unless the status is 0 (optimal)."""
-        self.highs.changeColsBounds(len(self.cols), self.cols, lb, ub)
-        self.highs.clearSolver()
+        """linprog's ``(status, fun, x)`` under these column bounds, solved
+        from the previous solve's basis; ``x`` is None unless the status is
+        0 (optimal)."""
+        changed = np.flatnonzero((lb != self.lb) | (ub != self.ub)).astype(np.int32)
+        if len(changed):
+            lo, hi = lb[changed], ub[changed]
+            self.lb[changed], self.ub[changed] = lo, hi
+            self.highs.changeColsBounds(len(changed), changed, lo, hi)
         out = self._run(self.highs, lb, ub)
         if out[0] == 4:
             # numerical difficulties: retry once on a fresh dual simplex, as
@@ -259,10 +274,10 @@ class _NodeLp:
         status = _lp_status(highs.getModelStatus())
         if failed or status != 0:
             return (4 if status == 0 else status), math.nan, None
-        fun = highs.getInfo().objective_function_value
+        fun = highs.getObjectiveValue()
         solution = highs.getSolution()
-        x = np.array(solution.col_value)
-        slack = self.row_hi - np.array(solution.row_value)
+        x = np.array(solution.col_value, dtype=float)
+        slack = self.row_hi - np.array(solution.row_value, dtype=float)
         # linprog's check of the returned point: a NaN, or a bound or row
         # missed by more than its tolerance, turns optimal into status 4
         tol = _CHECK_TOL
@@ -388,23 +403,56 @@ def _is_integral(x: np.ndarray, int_idx: np.ndarray) -> bool:
     return bool(np.abs(x[int_idx] - np.round(x[int_idx])).max() <= _INT_TOL)
 
 
-def _branch_variable(x: np.ndarray, int_idx: np.ndarray) -> Optional[int]:
-    """Most fractional integer variable.
+class _Pseudocosts:
+    """Per integer column and branching direction (0 down, 1 up): the sum
+    and count of the per-unit objective increases that the column's solved
+    children showed, and the same over all columns, in observation order."""
 
-    Candidates are taken in ``int_idx`` order and one replaces the current
-    choice only when it is closer to 0.5 by more than 1e-12, so near-ties go
-    to the earlier index.
+    def __init__(self, n_cols: int):
+        self.sum = np.zeros((2, n_cols))
+        self.count = np.zeros((2, n_cols), dtype=np.int64)
+        self.total = [0.0, 0.0]
+        self.n = [0, 0]
+
+    def record(
+        self, side: int, col: int, frac: float, parent: float, child: Optional[float]
+    ) -> None:
+        """One child of a branch on ``col`` at fractional part ``frac``: its
+        objective increase over the parent's, per unit of the bound change
+        (``frac`` down, ``1 - frac`` up).  An infeasible child (``child``
+        None) shows no increase and is not counted."""
+        if child is None:
+            return
+        unit_gain = max(child - parent, 0.0) / (frac if side == 0 else 1.0 - frac)
+        self.sum[side, col] += unit_gain
+        self.count[side, col] += 1
+        self.total[side] += unit_gain
+        self.n[side] += 1
+
+
+def _branch_variable(
+    x: np.ndarray, int_idx: np.ndarray, costs: _Pseudocosts
+) -> Optional[int]:
+    """Pseudocost branching: among the integer columns whose value is more
+    than ``_INT_TOL`` from an integer, the one with the highest score
+    ``max(down*f, 1e-6) * max(up*(1-f), 1e-6)``, where ``f`` is the
+    fractional part and ``down``/``up`` the column's mean per-unit increase
+    in that direction.  A direction a column has not been branched in yet
+    takes the mean over all columns' observations in it (1.0 before any).
+    Exact score ties go to the lowest column index; None when ``x`` is
+    integral on ``int_idx``.
     """
     values = x[int_idx]
     frac = values - np.floor(values)
     fractional = np.minimum(frac, 1.0 - frac) > _INT_TOL
-    best: Optional[int] = None
-    best_dist = math.inf
-    for i, dist in zip(int_idx[fractional].tolist(), np.abs(frac[fractional] - 0.5).tolist()):
-        if dist < best_dist - 1e-12:
-            best_dist = dist
-            best = i
-    return best
+    if not fractional.any():
+        return None
+    cols, f = int_idx[fractional], frac[fractional]
+    count = costs.count[:, cols]
+    mean = [[t / n if n else 1.0] for t, n in zip(costs.total, costs.n)]
+    unit = np.where(count > 0, costs.sum[:, cols] / np.maximum(count, 1), mean)
+    score = np.maximum(unit[0] * f, 1e-6) * np.maximum(unit[1] * (1.0 - f), 1e-6)
+    return int(cols[score == score.max()].min())
 
 
 def _relative_gap(objective: float, bound: float) -> float:
@@ -540,6 +588,7 @@ def branch_and_bound(
     lb0, ub0 = model.lb, model.ub
     lp = _NodeLp(model, lb0, ub0)
     int_idx = np.flatnonzero(model.integer)
+    costs = _Pseudocosts(model.n_variables)
     t0 = time.monotonic()
 
     incumbent: Optional[np.ndarray] = None
@@ -606,7 +655,7 @@ def branch_and_bound(
             return MilpSolution(
                 "optimal", inc_obj, incumbent, bound, nodes, _relative_gap(inc_obj, bound)
             )
-        branch = _branch_variable(x, int_idx)
+        branch = _branch_variable(x, int_idx, costs)
         if branch is None:
             if bound < inc_obj:
                 incumbent = x
@@ -619,16 +668,18 @@ def branch_and_bound(
             seq += 1
             break
         pivot = x[branch]
+        frac = pivot - math.floor(pivot)
         children = []
-        for side in ("down", "up"):
+        for side in (0, 1):
             clb, cub = lb.copy(), ub.copy()
-            if side == "down":
+            if side == 0:
                 cub[branch] = math.floor(pivot)
             else:
                 clb[branch] = math.ceil(pivot)
             if clb[branch] > cub[branch] + 1e-12:
                 continue
             sol = solve_node(clb, cub)
+            costs.record(side, branch, frac, bound, None if sol is None else sol[0])
             if sol is None:
                 continue
             cbound, cx = sol

@@ -1,6 +1,7 @@
-"""Solver tests: certified LP relaxations, node LPs against linprog, branch
-and bound against the exhaustive oracle, routing charging runs to flows, the
-primal heuristic, limits, and determinism."""
+"""Solver tests: certified LP relaxations, warm node LPs against linprog,
+branch and bound against the exhaustive and HiGHS oracles, pseudocost
+branching, routing charging runs to flows, the primal heuristic, limits, and
+determinism."""
 
 import math
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+from scipy.optimize._linprog_util import _check_result
 
 from bebcharge import solver
 from bebcharge.benchmarks import four_bus_day
@@ -29,6 +31,7 @@ from bebcharge.solver import (
 from bruteforce import brute_force_best, combo_count
 from helpers import mini_scenario, single_visit_scenario, two_type_scenario
 from test_milp import feasible_assignment, tiny_model
+from test_perfbench_bindings import load_benchmark_module
 
 EXACT = SolveLimits(mip_gap=0.0)
 
@@ -84,7 +87,8 @@ def test_solve_lp_relaxation_below_integer_optimum():
 
 
 # ---------------------------------------------------------------------------
-# node LPs: one HiGHS model per search, identical to a fresh linprog per node
+# node LPs: one HiGHS model per search, solved warm, each answer as good as a
+# fresh linprog's
 
 
 def linprog_reference(mats, lb, ub, method="highs"):
@@ -108,6 +112,23 @@ def assert_same_lp_answer(got, want):
         assert np.array_equal(x, want[2])
     else:
         assert x is None and want[2] is None
+
+
+def assert_lp_answer_as_good(got, want, mats, lb, ub):
+    """The node-LP contract: the status of a fresh ``linprog``, an objective
+    within 1e-9 relative of its ``fun``, and an ``x`` that passes
+    ``linprog``'s own check of a returned point."""
+    status, fun, x = got
+    assert status == want[0]
+    if status != 0:
+        assert x is None and want[2] is None
+        return
+    assert abs(fun - want[1]) <= 1e-9 * max(1.0, abs(want[1]))
+    checked, message = _check_result(
+        x, fun, 0, mats.b_ub - mats.A_ub @ x, mats.b_eq - mats.A_eq @ x,
+        np.column_stack([lb, ub]), 1e-9, "", None,
+    )
+    assert checked == 0, message
 
 
 def node_kind(lb, ub, lb0, ub0, int_idx):
@@ -150,12 +171,13 @@ def test_node_lp_matches_linprog(monkeypatch, make, kinds):
     branch_and_bound(model, SolveLimits(mip_gap=0.0, max_nodes=8))
     monkeypatch.undo()
 
+    # every LP of the search's warm sequence against a fresh, cold linprog
     mats = solver._Matrices(model)
     lb0, ub0 = model.lb, model.ub
     int_idx = np.flatnonzero(model.integer)
     assert {node_kind(lb, ub, lb0, ub0, int_idx) for lb, ub, _ in seen} == kinds
     for lb, ub, got in seen:
-        assert_same_lp_answer(got, linprog_reference(mats, lb, ub))
+        assert_lp_answer_as_good(got, linprog_reference(mats, lb, ub), mats, lb, ub)
 
     # no charging at all cannot restore the final levels; the model answers
     # the root alike before and after that infeasible solve
@@ -163,10 +185,12 @@ def test_node_lp_matches_linprog(monkeypatch, make, kinds):
     no_charge[list(model.g_of.values())] = 0.0
     lp = solver._NodeLp(model, lb0, ub0)
     root = linprog_reference(mats, lb0, ub0)
-    assert_same_lp_answer(lp.solve(lb0, ub0), root)
+    assert_lp_answer_as_good(lp.solve(lb0, ub0), root, mats, lb0, ub0)
     assert lp.solve(lb0, no_charge)[0] == 2
-    assert_same_lp_answer(lp.solve(lb0, no_charge), linprog_reference(mats, lb0, no_charge))
-    assert_same_lp_answer(lp.solve(lb0, ub0), root)
+    assert_lp_answer_as_good(
+        lp.solve(lb0, no_charge), linprog_reference(mats, lb0, no_charge), mats, lb0, no_charge
+    )
+    assert_lp_answer_as_good(lp.solve(lb0, ub0), root, mats, lb0, ub0)
 
 
 def test_node_lp_retries_on_a_fresh_dual_simplex(monkeypatch):
@@ -451,6 +475,56 @@ def test_determinism_across_repeat_solves():
         assert sol_a.objective == sol_b.objective
 
 
+def test_search_repeats_with_another_search_in_between():
+    # each node LP starts from the basis the solve before it left, so a
+    # search must depend only on its own solves: another model's search in
+    # between changes nothing
+    model = bundled_day_model()
+    limits = SolveLimits(mip_gap=0.0, max_nodes=60)
+    first = branch_and_bound(model, limits)
+    other = branch_and_bound(generated_two_bus_model(), SolveLimits(max_nodes=20))
+    assert other.nodes_explored > 1
+    again = branch_and_bound(model, limits)
+    assert first.nodes_explored == again.nodes_explored > 1
+    assert (first.status, first.objective, first.bound, first.gap) == (
+        again.status, again.objective, again.bound, again.gap
+    )
+    assert first.assignment.tobytes() == again.assignment.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# branch and bound vs. HiGHS' own branch and cut on small generated days
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    hours=st.integers(3, 6),
+    initial_soc=st.sampled_from([0.7, 0.8, 0.9]),
+    final_soc=st.sampled_from([0.5, 0.6, 0.7]),
+    max_nodes=st.integers(1, 6),
+)
+def test_bnb_matches_the_highs_oracle_on_small_generated_days(
+    seed, hours, initial_soc, final_soc, max_nodes
+):
+    bounds = GeneratorBounds(
+        n_buses=2, day_end_min=300 + 60 * hours, initial_soc=initial_soc, final_soc=final_soc
+    )
+    model = build_static_model(
+        build_action_graph(discretize(generate_random_scenario(seed, bounds), 15.0))
+    )
+    want = load_benchmark_module("oracle").mip_oracle(model)
+    assert want.status in ("optimal", "infeasible")
+    got = branch_and_bound(model, EXACT)
+    assert got.status == want.status
+    if want.status == "optimal":
+        assert abs(got.objective - want.primal) <= 1e-9 * max(1.0, abs(want.primal))
+        assert validate_solution(model, got.assignment)["ok"]
+    # a node-limited search proves no more than the optimum
+    limited = branch_and_bound(model, SolveLimits(mip_gap=0.0, max_nodes=max_nodes))
+    assert limited.bound <= want.primal + 1e-9 * max(1.0, abs(want.primal))
+
+
 def row_walk_report(model, x):
     """Worst violation per family, bound and integrality violation, walked
     over the row and column views the way
@@ -509,20 +583,40 @@ def test_validate_solution_flags_violations(moves):
     assert report3["ok"] == (max(max(families.values()), bound, integral) <= 1e-6)
 
 
-def branch_variable_loop(x, int_idx):
-    """The per-column walk ``solver._branch_variable`` replaced, kept as the
-    reference: first column in ``int_idx`` order that is closer to 0.5 than
-    every earlier record by more than 1e-12."""
-    best = None
-    best_dist = math.inf
-    for i in int_idx:
-        frac = x[i] - math.floor(x[i])
+def branch_variable_loop(x, int_idx, children):
+    """Pseudocost branching walked column by column, the reference for
+    ``solver._branch_variable``.  ``children`` lists every solved or
+    infeasible child so far as ``(side, col, frac, parent, child)``, with
+    ``child`` None for an infeasible one, which shows no increase."""
+    gains = {}  # (side, col) -> per-unit increases, in observation order
+    every = ([], [])  # per side, all columns' increases in observation order
+    for side, col, frac, parent, child in children:
+        if child is None:
+            continue
+        gain = max(child - parent, 0.0) / (frac if side == 0 else 1.0 - frac)
+        gains.setdefault((side, col), []).append(gain)
+        every[side].append(gain)
+    means = []
+    for seen in every:
+        total = 0.0
+        for gain in seen:
+            total += gain
+        means.append(total / len(seen) if seen else 1.0)
+    best, best_score = None, -math.inf
+    for col in int_idx:
+        frac = x[col] - math.floor(x[col])
         if min(frac, 1.0 - frac) <= solver._INT_TOL:
             continue
-        dist = abs(frac - 0.5)
-        if dist < best_dist - 1e-12:
-            best_dist = dist
-            best = int(i)
+        unit = []
+        for side in (0, 1):
+            seen = gains.get((side, int(col)), [])
+            total = 0.0
+            for gain in seen:
+                total += gain
+            unit.append(total / len(seen) if seen else means[side])
+        score = max(unit[0] * frac, 1e-6) * max(unit[1] * (1.0 - frac), 1e-6)
+        if score > best_score or (score == best_score and col < best):
+            best, best_score = int(col), score
     return best
 
 
@@ -538,6 +632,14 @@ BRANCH_VALUES = st.one_of(
     st.floats(-5.0, 5.0, allow_nan=False),
 )
 
+# a child's objective increase over its parent's: none, tiny (where the
+# score's 1e-6 floor decides), tied, or a decrease (counted as none)
+CHILD_INCREASES = st.one_of(
+    st.none(),  # infeasible
+    st.sampled_from([0.0, 1.0, 2.5, -1e-12, -0.5, 1e-9, 1e-5, 1e-4]),
+    st.floats(0.0, 100.0, allow_nan=False),
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(
@@ -548,4 +650,27 @@ def test_branch_variable_matches_the_column_walk(values, data):
     x = np.array(values)
     cols = data.draw(st.lists(st.sampled_from(range(x.size)), unique=True, min_size=1))
     int_idx = np.array(sorted(cols) if data.draw(st.booleans()) else cols, dtype=np.int64)
-    assert solver._branch_variable(x, int_idx) == branch_variable_loop(x, int_idx)
+    # children of earlier branches on some of the columns (others stay unseen)
+    children = data.draw(st.lists(st.tuples(
+        st.sampled_from((0, 1)),
+        st.sampled_from(cols),
+        st.sampled_from([0.5, 0.25, 0.75, 1e-3, 1.0 - 1e-3]),
+        st.sampled_from([0.0, 100.0, 2611.874534666668]),
+        CHILD_INCREASES,
+    ), max_size=10))
+    children = [(side, col, frac, parent, None if rise is None else parent + rise)
+                for side, col, frac, parent, rise in children]
+    costs = solver._Pseudocosts(x.size)
+    for child in children:
+        costs.record(*child)
+    assert solver._branch_variable(x, int_idx, costs) == branch_variable_loop(x, int_idx, children)
+
+
+def test_pseudocosts_count_a_child_below_its_parent_as_no_increase():
+    costs = solver._Pseudocosts(2)
+    costs.record(0, 0, 0.5, 100.0, 99.5)  # below the parent: no increase
+    costs.record(0, 0, 0.5, 100.0, 101.0)  # 1.0 over half a unit
+    costs.record(1, 1, 0.25, 100.0, None)  # infeasible: not counted
+    assert costs.sum[0].tolist() == [2.0, 0.0] and costs.count[0].tolist() == [2, 0]
+    assert costs.count[1].tolist() == [0, 0]
+    assert costs.total == [2.0, 0.0] and costs.n == [2, 0]
